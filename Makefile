@@ -15,6 +15,7 @@ test:
 lint:
 	bash scripts/lint.sh
 
-# Hot-path benchmark snapshot with delta vs the previous PR's baseline.
+# Hot-path benchmark snapshot (bench-snapshot.json, untracked) with a
+# delta against the latest committed snapshot.
 bench:
-	bash scripts/bench.sh
+	bash scripts/bench.sh bench-snapshot.json BENCH_10.json

@@ -19,8 +19,6 @@
 //	figures -only 3 -merge -partials parts/       # fold the shards' results
 //	figures -only 3 -plan 2 -partials parts/      # LPT plan from the timings
 //	figures -only 3 -shard 1/2 -withplan -partials parts/  # planned shard
-//	figures -only 3 -serve-workers :9131          # coordinator: wait for workers
-//	figures -worker -connect host:9131            # remote worker (any machine)
 //	figures -only 3 -resume -partials parts/      # fill cells a drain left behind
 package main
 
@@ -37,7 +35,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -80,37 +77,18 @@ func main() {
 	merge := flag.Bool("merge", false, "merge shard partials from -partials and print the tables")
 	plan := flag.Int("plan", 0, "write an m-way timing-balanced shard plan from the partials of a previous run")
 	withPlan := flag.Bool("withplan", false, "with -shard i/m: evaluate the cells the plan file assigns to shard i instead of the modulo slice")
-	serveWorkers := flag.String("serve-workers", "", "coordinator mode: listen on this address for remote -connect workers instead of spawning subprocesses")
 	deadline := flag.Duration("deadline", 0, "fixed per-cell response deadline for pooled backends (0 = adaptive over observed cell times)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "how long a drain (SIGINT/SIGTERM) waits for in-flight cells (0 = 30s)")
 	resume := flag.Bool("resume", false, "evaluate the cells missing from the partials in -partials and write a resume partial")
-	faultInject := flag.String("faultinject", "", "internal/testing: inject a worker fault, kind:N[:delay] with kind exit|wedge|slow|garbage|disconnect (bare N = exit:N); applies to the first spawned worker with -procs, to this worker with -worker -connect")
-	workerFlag := flag.Bool("worker", false, "internal: serve cells on stdin/stdout (SPEC lines select the grid), or over TCP with -connect")
-	connect := flag.String("connect", "", "with -worker: dial the coordinator at this address and serve cells over TCP, reconnecting with backoff")
-	spec := flag.String("spec", "", "internal: spec served in -worker mode before any SPEC line")
+	workerFlag := flag.Bool("worker", false, "internal: serve cells on stdin/stdout (SPEC lines select the grid)")
 	flag.Parse()
 
-	fault, err := runner.ParseFault(*faultInject)
-	if err != nil {
-		log.Fatal(err)
-	}
 	opts := experiments.Options{Quick: *quickFlag, Seed: *seed, Metric: *metric, MaxConfigs: *maxConfigs}
 	if *workerFlag {
-		if *connect != "" {
-			if err := runner.ConnectWorker(*connect, func(name string) (*runner.Spec, error) {
-				return experiments.NewSpec(name, opts)
-			}, runner.WorkerOptions{Fault: fault, Logf: log.Printf}); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		if err := runWorker(*spec, opts); err != nil {
+		if err := runWorker(opts, os.Stdin, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		return
-	}
-	if *connect != "" {
-		log.Fatal("-connect requires -worker")
 	}
 
 	shardIdx, shardTotal, err := parseShard(*shard)
@@ -121,22 +99,19 @@ func main() {
 		log.Fatal("-shard, -merge, -plan, and -resume require -partials")
 	}
 	modes := 0
-	for _, on := range []bool{shardTotal > 0, *merge, *plan > 0, *resume, *serveWorkers != ""} {
+	for _, on := range []bool{shardTotal > 0, *merge, *plan > 0, *resume} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		log.Fatal("-shard, -merge, -plan, -resume, and -serve-workers are mutually exclusive")
+		log.Fatal("-shard, -merge, -plan, and -resume are mutually exclusive")
 	}
 	if shardTotal > 0 && *csvDir != "" {
 		log.Fatal("-shard emits partial files only; use -csvdir on the -merge run")
 	}
 	if *withPlan && shardTotal == 0 {
 		log.Fatal("-withplan requires -shard")
-	}
-	if fault != nil && *procs <= 0 {
-		log.Fatal("-faultinject requires -procs (or a -worker -connect worker)")
 	}
 	selected, err := selectFigures(*only)
 	if err != nil {
@@ -154,19 +129,6 @@ func main() {
 		Deadline:     runner.DeadlineConfig{Fixed: *deadline},
 		DrainTimeout: *drainTimeout,
 	}
-	if *serveWorkers != "" {
-		tr, err := runner.Listen(*serveWorkers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("waiting for workers on %s", tr.Addr())
-		pool := runner.NewPoolTransport(tr, cfg)
-		defer pool.Close()
-		if err := runPooled(pool, selected, opts, *csvDir, *partials); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	// -procs composes with -shard and -resume: the slice's cells are routed
 	// through the same fault-tolerant worker pool the full run uses, instead
 	// of the in-process Local pool. -merge and -plan never evaluate cells,
@@ -174,7 +136,7 @@ func main() {
 	var pool *runner.Pool
 	if *procs > 0 && !*merge && *plan == 0 {
 		pool = runner.NewPoolTransport(
-			&runner.PipeTransport{N: *procs, Command: workerCommand(opts, fault)}, cfg)
+			&runner.PipeTransport{N: *procs, Command: workerCommand(opts)}, cfg)
 		defer pool.Close()
 	}
 	if pool != nil && shardTotal == 0 && !*resume {
@@ -221,8 +183,7 @@ func main() {
 }
 
 // runPooled evaluates the whole selection on one shared worker pool — the
-// same workers (subprocesses or remote TCP workers) serve cells from
-// successive figures (announced with SPEC protocol lines), so workers stay
+// same worker subprocesses serve cells from successive figures (announced with SPEC protocol lines), so workers stay
 // busy across figure boundaries instead of draining and respawning per
 // figure. Tables print in selection order as each grid completes.
 //
@@ -379,44 +340,20 @@ func writeCSV(dir, name string, tab *trace.Table) error {
 	})
 }
 
-// runWorker serves cells over stdin/stdout — the subprocess half of the
-// pooled backend. The coordinator selects grids with SPEC protocol lines
-// (any registered experiment name), so one worker process serves cells from
-// successive figures; -spec optionally names the grid served before any
-// SPEC line. The experiment options arrive on the command line, so both
-// sides build the identical grid.
-func runWorker(name string, o experiments.Options) error {
-	var initial *runner.Spec
-	if name != "" {
-		sp, err := experiments.NewSpec(name, o)
-		if err != nil {
-			return err
-		}
-		initial = sp
-	}
-	var out io.Writer = os.Stdout
-	if n, _ := strconv.Atoi(os.Getenv("FIGURES_DIE_AFTER")); n > 0 {
-		out = &runner.DieAfterWriter{W: os.Stdout, Lines: n}
-	}
-	fault, err := runner.ParseFault(os.Getenv("FIGURES_FAULT"))
-	if err != nil {
-		return err
-	}
-	err = runner.ServePoolOpts(initial, func(name string) (*runner.Spec, error) {
+// runWorker serves cells on r/w (stdin/stdout in -worker mode) — the
+// subprocess half of the pooled backend. The coordinator selects grids with
+// SPEC protocol lines (any registered experiment name), so one worker
+// process serves cells from successive figures. The experiment options
+// arrive on the command line, so both sides build the identical grid.
+func runWorker(o experiments.Options, r io.Reader, w io.Writer) error {
+	return runner.ServePool(func(name string) (*runner.Spec, error) {
 		return experiments.NewSpec(name, o)
-	}, os.Stdin, out, runner.ServeOptions{Fault: fault})
-	if errors.Is(err, runner.ErrBye) {
-		return nil
-	}
-	return err
+	}, r, w)
 }
 
-// workerCommand re-invokes this binary in -worker mode. With fault
-// injection, only the first spawned worker gets the fault (passed via the
-// FIGURES_FAULT environment variable) — respawned replacements are healthy,
-// so the requeued cells complete.
-func workerCommand(o experiments.Options, fault *runner.Fault) func() (*exec.Cmd, error) {
-	var spawned atomic.Int64
+// workerCommand re-invokes this binary in -worker mode with the
+// experiment options.
+func workerCommand(o experiments.Options) func() (*exec.Cmd, error) {
 	return func() (*exec.Cmd, error) {
 		exe, err := os.Executable()
 		if err != nil {
@@ -434,9 +371,6 @@ func workerCommand(o experiments.Options, fault *runner.Fault) func() (*exec.Cmd
 		}
 		cmd := exec.Command(exe, args...)
 		cmd.Stderr = os.Stderr
-		if fault != nil && spawned.Add(1) == 1 {
-			cmd.Env = append(os.Environ(), "FIGURES_FAULT="+fault.String())
-		}
 		return cmd, nil
 	}
 }

@@ -16,19 +16,28 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/experiments/runner"
 	"repro/internal/trace"
+	"repro/internal/workerfault"
 )
 
 func TestMain(m *testing.M) {
-	// Re-executed as a -worker subprocess by TestWorkerModeRoundTrip: serve
-	// the named spec on stdin/stdout exactly as `figures -worker` would.
-	if name := os.Getenv("FIGURES_TEST_WORKER"); name != "" {
+	// Re-executed as a -worker subprocess by the pooled tests: serve cells
+	// on stdin/stdout exactly as `figures -worker -quick` would.
+	// FIGURES_TEST_FAULT (workerfault syntax, kind:N[:delay]) installs one
+	// failure mode on the worker's streams.
+	if os.Getenv("FIGURES_TEST_WORKER") != "" {
 		seed, err := strconv.ParseInt(os.Getenv("FIGURES_TEST_SEED"), 10, 64)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		fault, err := workerfault.Parse(os.Getenv("FIGURES_TEST_FAULT"))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		o := experiments.Options{Quick: true, Seed: seed}
-		if err := runWorker(name, o); err != nil {
+		in, out := fault.Wrap(os.Stdin, os.Stdout)
+		if err := runWorker(o, in, out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -131,22 +140,10 @@ func TestWorkerModeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := runner.Procs{
-		N: 2,
-		Command: func() (*exec.Cmd, error) {
-			cmd := exec.Command(exe)
-			cmd.Env = append(os.Environ(),
-				"FIGURES_TEST_WORKER=13",
-				"FIGURES_TEST_SEED=7")
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		},
-	}
-	got, err := runner.Run(sp, procs)
+	cmd, _ := testWorkerCmd(t, o.Seed, "")
+	pool := runner.NewPoolTransport(&runner.PipeTransport{N: 2, Command: cmd}, runner.Config{})
+	defer pool.Close()
+	got, err := runPool(pool, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,28 +169,10 @@ func TestWorkerModeFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spawned atomic.Int64
-	pool := runner.NewPool(2, 0, func() (*exec.Cmd, error) {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			"FIGURES_TEST_WORKER=13",
-			"FIGURES_TEST_SEED=7")
-		if spawned.Add(1) == 1 {
-			cmd.Env = append(cmd.Env, "FIGURES_DIE_AFTER=2")
-		}
-		cmd.Stderr = os.Stderr
-		return cmd, nil
-	})
+	cmd, spawned := testWorkerCmd(t, o.Seed, "exit:2")
+	pool := runner.NewPoolTransport(&runner.PipeTransport{N: 2, Command: cmd}, runner.Config{})
 	defer pool.Close()
-	g, err := pool.Run(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runner.Reduce(sp, g)
+	got, err := runPool(pool, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +376,8 @@ func TestResumeFillsMissingCells(t *testing.T) {
 	}
 }
 
-// TestWorkerModeFaultMatrix drives every -faultinject mode through the
-// real worker subprocess (via FIGURES_FAULT, as workerCommand sets it) and
+// TestWorkerModeFaultMatrix drives every workerfault mode through a real
+// worker subprocess (the first one spawned, via FIGURES_TEST_FAULT) and
 // requires the table to stay identical to the in-process run: each fault
 // converts into requeue-and-recover, never into wrong output.
 func TestWorkerModeFaultMatrix(t *testing.T) {
@@ -414,45 +393,20 @@ func TestWorkerModeFaultMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, mode := range []string{"exit:2", "garbage:2", "disconnect:2", "slow:1:50ms", "wedge:2:2s"} {
 		t.Run(mode, func(t *testing.T) {
-			fault, err := runner.ParseFault(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var spawned atomic.Int64
+			cmd, spawned := testWorkerCmd(t, o.Seed, mode)
 			// One slot, so the faulty first worker necessarily serves the
 			// cell that arms its fault.
-			pool := runner.NewPoolTransport(&runner.PipeTransport{
-				N: 1,
-				Command: func() (*exec.Cmd, error) {
-					cmd := exec.Command(exe)
-					cmd.Env = append(os.Environ(),
-						"FIGURES_TEST_WORKER=13",
-						"FIGURES_TEST_SEED=7")
-					if spawned.Add(1) == 1 {
-						cmd.Env = append(cmd.Env, "FIGURES_FAULT="+fault.String())
-					}
-					cmd.Stderr = os.Stderr
-					return cmd, nil
-				},
-			}, runner.Config{
+			pool := runner.NewPoolTransport(&runner.PipeTransport{N: 1, Command: cmd}, runner.Config{
 				// A firm deadline so the wedge mode converts in test time.
 				Deadline: runner.DeadlineConfig{Fixed: 500 * time.Millisecond},
 				Backoff:  runner.BackoffConfig{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 			})
 			defer pool.Close()
-			g, err := pool.Run(sp)
+			got, err := runPool(pool, sp)
 			if err != nil {
 				t.Fatalf("fault %s: %v", mode, err)
-			}
-			got, err := runner.Reduce(sp, g)
-			if err != nil {
-				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("fault %s: table differs from in-process run", mode)
@@ -497,7 +451,8 @@ func TestRunShardOnPoolMatchesLocal(t *testing.T) {
 	}
 	poolDir := t.TempDir()
 	localDir := t.TempDir()
-	pool := runner.NewPoolTransport(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, "3", o.Seed)}, runner.Config{})
+	cmd, _ := testWorkerCmd(t, o.Seed, "")
+	pool := runner.NewPoolTransport(&runner.PipeTransport{N: 2, Command: cmd}, runner.Config{})
 	defer pool.Close()
 	if err := runShard(sp, o, 1, 2, 0, poolDir, false, pool); err != nil {
 		t.Fatal(err)
@@ -516,24 +471,48 @@ func TestRunShardOnPoolMatchesLocal(t *testing.T) {
 			t.Fatalf("cell %d differs between pooled and local shard", got.Results[i].Idx)
 		}
 	}
+	// A shard past the grid's last cell is empty on the pool too: its
+	// partial must hold no cells, not the whole grid.
+	empty := sp.Cells() + 1
+	if err := runShard(sp, o, empty, empty, 0, poolDir, false, pool); err != nil {
+		t.Fatal(err)
+	}
+	if p := readPartialFile(t, filepath.Join(poolDir, shardFile("3", empty, empty))); len(p.Results) != 0 {
+		t.Fatalf("empty shard %d/%d wrote %d cells", empty, empty, len(p.Results))
+	}
+}
+
+// runPool evaluates one figure's whole grid on the pool and reduces it.
+func runPool(pool *runner.Pool, sp *runner.Spec) (*trace.Table, error) {
+	grids, err := pool.RunAllGrids([]*runner.Spec{sp}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return runner.Reduce(sp, grids[0])
 }
 
 // testWorkerCmd re-invokes this test binary as a quick-mode pool worker
-// serving the named figure (via the TestMain hook).
-func testWorkerCmd(t *testing.T, name string, seed int64) func() (*exec.Cmd, error) {
+// (via the TestMain hook). A non-empty fault is installed on the first
+// spawned worker only, so its replacements are healthy; the counter
+// reports how many workers were spawned.
+func testWorkerCmd(t *testing.T, seed int64, fault string) (func() (*exec.Cmd, error), *atomic.Int64) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var spawned atomic.Int64
 	return func() (*exec.Cmd, error) {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(),
-			"FIGURES_TEST_WORKER="+name,
+			"FIGURES_TEST_WORKER=1",
 			"FIGURES_TEST_SEED="+strconv.FormatInt(seed, 10))
+		if spawned.Add(1) == 1 && fault != "" {
+			cmd.Env = append(cmd.Env, "FIGURES_TEST_FAULT="+fault)
+		}
 		cmd.Stderr = os.Stderr
 		return cmd, nil
-	}
+	}, &spawned
 }
 
 func readPartialFile(t *testing.T, path string) *trace.Partial {

@@ -13,7 +13,7 @@
 //     rand.New(rand.NewSource(seed)) is fine
 //   - crypto/rand (nondeterministic by design)
 //
-// Wall-clock-by-design layers (the runner pool's deadlines, heartbeats
+// Wall-clock-by-design layers (the runner pool's deadlines
 // and backoff jitter; serve's admission timestamps and latency
 // percentiles; CLI progress logs) suppress findings per use with
 //

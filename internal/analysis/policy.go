@@ -9,7 +9,7 @@ import "strings"
 // one is as much a bug as in the kernel it pins).
 //
 // The wall-clock-by-design layers — the runner pool (deadlines,
-// heartbeats, backoff jitter), the serving front (admission timestamps,
+// backoff jitter), the serving front (admission timestamps,
 // latency percentiles) and the CLIs (progress logs) — are still
 // checked in their non-test files, where every wall-clock read must
 // carry a //repcheck:allow-wallclock justification; their test files

@@ -6,19 +6,16 @@ import (
 )
 
 // BackoffConfig parameterises the exponential-backoff-with-jitter schedule
-// the pool applies between worker respawns and a remote worker applies
-// between reconnect attempts. Replacing the old immediate respawn, the
-// schedule keeps a crash-looping worker binary from spinning the
-// coordinator: consecutive failures space out geometrically up to Max, and
-// the jitter keeps a fleet of workers (or slots) that failed together from
-// retrying in lockstep.
+// the pool applies between worker respawns. Replacing the old immediate
+// respawn, the schedule keeps a crash-looping worker binary from spinning
+// the coordinator: consecutive failures double the delay up to Max, and
+// the jitter keeps slots that failed together from respawning in
+// lockstep.
 type BackoffConfig struct {
 	// Base is the delay after the first failure; 0 selects 100ms.
 	Base time.Duration
 	// Max caps the delay; 0 selects 10s.
 	Max time.Duration
-	// Factor multiplies the delay per consecutive failure; 0 selects 2.
-	Factor float64
 	// Jitter is the fraction of the delay randomised around its nominal
 	// value: a delay d becomes d·(1 − Jitter/2 + Jitter·u) for uniform
 	// u ∈ [0,1), so Jitter=0.5 spreads attempts over ±25%. Negative
@@ -34,9 +31,6 @@ func (c BackoffConfig) withDefaults() BackoffConfig {
 	if c.Max <= 0 {
 		c.Max = 10 * time.Second
 	}
-	if c.Factor <= 0 {
-		c.Factor = 2
-	}
 	if c.Jitter == 0 {
 		c.Jitter = 0.5
 	} else if c.Jitter < 0 {
@@ -45,8 +39,11 @@ func (c BackoffConfig) withDefaults() BackoffConfig {
 	return c
 }
 
+// backoffFactor multiplies the delay per consecutive failure.
+const backoffFactor = 2
+
 // backoff tracks one failure streak. Not safe for concurrent use; every
-// worker slot and every remote worker owns its own.
+// worker slot owns its own.
 type backoff struct {
 	cfg     BackoffConfig
 	attempt int
@@ -55,7 +52,7 @@ type backoff struct {
 
 func newBackoff(cfg BackoffConfig, uniform func() float64) *backoff {
 	if uniform == nil {
-		uniform = rand.Float64 //repcheck:allow-wallclock reconnect jitter must differ across workers; results never depend on it
+		uniform = rand.Float64 //repcheck:allow-wallclock respawn jitter must differ across slots; results never depend on it
 	}
 	return &backoff{cfg: cfg.withDefaults(), uniform: uniform}
 }
@@ -64,7 +61,7 @@ func newBackoff(cfg BackoffConfig, uniform func() float64) *backoff {
 func (b *backoff) Next() time.Duration {
 	d := float64(b.cfg.Base)
 	for i := 0; i < b.attempt; i++ {
-		d *= b.cfg.Factor
+		d *= backoffFactor
 		if d >= float64(b.cfg.Max) {
 			d = float64(b.cfg.Max)
 			break
@@ -81,6 +78,5 @@ func (b *backoff) Next() time.Duration {
 }
 
 // Reset ends the failure streak: the next delay starts from Base again.
-// Called once a worker proves healthy (a spawned process completes a cell, a
-// reconnected worker holds a session).
+// Called once a worker proves healthy (a spawned process completes a cell).
 func (b *backoff) Reset() { b.attempt = 0 }

@@ -47,7 +47,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 func TestDeadlineTrackerBootstrapThenAdaptive(t *testing.T) {
-	tr := newDeadlineTracker(DeadlineConfig{Floor: 50 * time.Millisecond, Mult: 10})
+	tr := newDeadlineTracker(DeadlineConfig{Floor: 50 * time.Millisecond})
 	if got := tr.Current(); got != deadlineBootstrap {
 		t.Fatalf("no observations: got %v, want bootstrap %v", got, deadlineBootstrap)
 	}
@@ -65,7 +65,7 @@ func TestDeadlineTrackerBootstrapThenAdaptive(t *testing.T) {
 }
 
 func TestDeadlineTrackerFloor(t *testing.T) {
-	tr := newDeadlineTracker(DeadlineConfig{Floor: time.Second, Mult: 10})
+	tr := newDeadlineTracker(DeadlineConfig{Floor: time.Second})
 	for i := 0; i < 10; i++ {
 		tr.Observe(time.Millisecond)
 	}
@@ -91,15 +91,15 @@ func TestDeadlineTrackerFixedOverride(t *testing.T) {
 // deadlineWindow entries and old observations are evicted, so the p95
 // follows a cost shift instead of being anchored by early cheap cells.
 func TestDeadlineTrackerSlidingWindow(t *testing.T) {
-	tr := newDeadlineTracker(DeadlineConfig{Floor: 1, Mult: 1})
+	tr := newDeadlineTracker(DeadlineConfig{Floor: 1})
 	for i := 0; i < deadlineWindow; i++ {
 		tr.Observe(10 * time.Millisecond)
 	}
 	if got := tr.Observations(); got != deadlineWindow {
 		t.Fatalf("full window: %d observations, want %d", got, deadlineWindow)
 	}
-	if got := tr.Current(); got != 10*time.Millisecond {
-		t.Fatalf("uniform window: deadline %v, want 10ms", got)
+	if got := tr.Current(); got != deadlineMult*10*time.Millisecond {
+		t.Fatalf("uniform window: deadline %v, want %d×10ms", got, deadlineMult)
 	}
 	// A full window of slower cells must displace every old observation.
 	for i := 0; i < deadlineWindow; i++ {
@@ -108,8 +108,8 @@ func TestDeadlineTrackerSlidingWindow(t *testing.T) {
 	if got := tr.Observations(); got != deadlineWindow {
 		t.Fatalf("after eviction: %d observations, want %d", got, deadlineWindow)
 	}
-	if got := tr.Current(); got != 20*time.Millisecond {
-		t.Fatalf("shifted window: deadline %v, want 20ms", got)
+	if got := tr.Current(); got != deadlineMult*20*time.Millisecond {
+		t.Fatalf("shifted window: deadline %v, want %d×20ms", got, deadlineMult)
 	}
 }
 

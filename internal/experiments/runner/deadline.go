@@ -9,27 +9,25 @@ import (
 // DeadlineConfig bounds how long the coordinator waits for one cell's
 // response before declaring the worker wedged. A worker that crashes is
 // detected immediately (the connection errors), but a wedged-but-alive
-// worker — stuck in a loop, swapping, or on the far side of a half-open TCP
-// connection — produces no such signal; the response deadline converts it
+// worker — stuck in a loop or swapping — produces no such signal; the response deadline converts it
 // into the same kill/respawn/requeue path a crash takes.
 type DeadlineConfig struct {
 	// Fixed, when positive, is used verbatim for every cell.
 	Fixed time.Duration
 	// Floor is the minimum adaptive deadline; 0 selects 30s.
 	Floor time.Duration
-	// Mult scales the observed p95 cell wall-clock; 0 selects 10.
-	Mult float64
 }
 
 func (c DeadlineConfig) withDefaults() DeadlineConfig {
 	if c.Floor <= 0 {
 		c.Floor = 30 * time.Second
 	}
-	if c.Mult <= 0 {
-		c.Mult = 10
-	}
 	return c
 }
+
+// deadlineMult scales the observed p95 cell wall-clock into the adaptive
+// deadline.
+const deadlineMult = 10
 
 // deadlineMinObs is how many completed cells the adaptive deadline needs
 // before it trusts the p95: with fewer observations the tracker returns the
@@ -52,7 +50,7 @@ const deadlineBootstrap = 10 * time.Minute
 const deadlineWindow = 512
 
 // deadlineTracker derives the per-cell response deadline from observed cell
-// wall-clock: max(Floor, Mult × p95 of the last deadlineWindow cells).
+// wall-clock: max(Floor, deadlineMult × p95 of the last deadlineWindow cells).
 // Durations are kept sorted so the quantile read is O(1); inserts are
 // bounded by the window size.
 type deadlineTracker struct {
@@ -112,7 +110,7 @@ func (t *deadlineTracker) Current() time.Duration {
 	if rank < 1 {
 		rank = 1
 	}
-	d := time.Duration(t.cfg.Mult * float64(t.durs[rank-1]))
+	d := deadlineMult * t.durs[rank-1]
 	if d < t.cfg.Floor {
 		return t.cfg.Floor
 	}

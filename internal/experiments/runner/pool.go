@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os/exec"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,16 +36,6 @@ type Config struct {
 	// Backoff paces worker respawns, replacing immediate respawn so a
 	// crash-looping worker binary cannot spin the coordinator.
 	Backoff BackoffConfig
-	// HeartbeatTimeout retires an idle worker-driven connection that has
-	// sent nothing (not even heartbeats) for this long — the dead-peer
-	// detector for half-open TCP connections; 0 selects 15s. Pool-driven
-	// (pipe) connections don't need it: a dead subprocess is visible as
-	// pipe EOF immediately.
-	HeartbeatTimeout time.Duration
-	// RejoinGrace is how long a worker-driven pool holds a run at zero
-	// membership (after at least one worker had joined) waiting for a
-	// rejoin before failing it; 0 selects 10s.
-	RejoinGrace time.Duration
 	// DrainTimeout bounds how long a drain waits for in-flight cells
 	// before abandoning them; 0 selects 30s.
 	DrainTimeout time.Duration
@@ -64,12 +53,6 @@ func (c Config) withDefaults() Config {
 		c.Retries = DefaultCellRetries
 	case c.Retries < 0:
 		c.Retries = 0
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 15 * time.Second
-	}
-	if c.RejoinGrace <= 0 {
-		c.RejoinGrace = 10 * time.Second
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
@@ -93,34 +76,24 @@ func sleepFor(d time.Duration, cancel <-chan struct{}) {
 	}
 }
 
-// Pool is a fault-tolerant worker pool shared across specs, generic over
-// its Transport: the same coordinator drives worker subprocesses over
-// stdin/stdout pipes (PipeTransport, the -procs backend) or remote workers
-// over TCP (ListenTransport, the -serve-workers backend), with identical
-// requeue/retry logic and byte-identical output.
+// Pool is a fault-tolerant worker pool shared across specs: Slots worker
+// connections (subprocesses over stdin/stdout pipes, via PipeTransport —
+// the -procs backend) fed from one queue.
 //
-// Unlike Procs, which spins a pool up and drains it for every figure, a
-// Pool is created once for a whole selection: the same workers serve cells
-// from successive specs (the coordinator announces spec switches with a
-// "SPEC <name>" protocol line), so workers stay busy across figure
+// A Pool is created once for a whole selection: the same workers serve
+// cells from successive specs (the coordinator announces spec switches
+// with a "SPEC <name>" protocol line), so workers stay busy across figure
 // boundaries instead of idling while one figure's tail cells finish and the
 // next figure's pool boots.
 //
 // The pool is also where failure is contained:
 //
 //   - A worker that dies or answers out of protocol is retired (killed and
-//     reaped for subprocesses) and its in-flight cell requeued; pipe slots
-//     respawn with exponential backoff and jitter.
+//     reaped) and its in-flight cell requeued; slots respawn with
+//     exponential backoff and jitter.
 //   - A wedged-but-alive worker — no crash, no response — is converted
 //     into the same retire/requeue path by the per-cell response deadline
 //     (adaptive over observed cell wall-clock; see DeadlineConfig).
-//   - An idle worker-driven connection that stops heartbeating is retired
-//     (dead-peer detection), while a slow cell under its deadline is left
-//     alone: heartbeats distinguish slow from dead.
-//   - Worker-driven membership is elastic: workers join mid-run and are
-//     fed from the shared queue; workers may leave without failing the run
-//     as long as one remains (or rejoins within RejoinGrace), and when
-//     none do the error names the last worker failure.
 //   - The grid only fails once a single cell has failed Retries+1 times —
 //     a deterministic failure — and the error names that cell. A
 //     cell-level error reported by a healthy worker is retried on the same
@@ -140,12 +113,7 @@ type Pool struct {
 	drainOnce sync.Once
 	drainCh   chan struct{}
 
-	live       atomic.Int64
-	everJoined atomic.Bool
-	lastErrMu  sync.Mutex
-	lastErr    error
-
-	mu     sync.Mutex // serialises RunAll; a Pool runs one selection at a time
+	mu     sync.Mutex // serialises runs; a Pool runs one selection at a time
 	closed bool
 }
 
@@ -168,14 +136,9 @@ type poolDone struct {
 	err     error
 }
 
-// NewPool starts a subprocess pool: n worker slots (n < 1 means 1) that
-// lazily spawn workers via command. retries follows the Config.Retries
-// convention. Close the pool to shut the subprocesses down.
-func NewPool(n, retries int, command func() (*exec.Cmd, error)) *Pool {
-	return NewPoolTransport(&PipeTransport{N: n, Command: command}, Config{Retries: retries})
-}
-
-// NewPoolTransport starts a pool over an arbitrary transport.
+// NewPoolTransport starts a pool with one worker slot per transport slot;
+// each slot connects lazily, when its first cell arrives. Close the pool
+// to shut the workers down.
 func NewPoolTransport(tr Transport, cfg Config) *Pool {
 	p := &Pool{
 		tr:      tr,
@@ -189,16 +152,11 @@ func NewPoolTransport(tr Transport, cfg Config) *Pool {
 		p.wg.Add(1)
 		go p.slotLoop()
 	}
-	if joined := tr.Joined(); joined != nil {
-		p.wg.Add(1)
-		go p.joinLoop(joined)
-	}
 	return p
 }
 
 // Close shuts the pool down: worker connections are closed via the orderly
-// path (stdin EOF for subprocesses, BYE for TCP workers) and the transport
-// released. Close is idempotent.
+// path (stdin EOF for subprocesses). Close is idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -208,7 +166,6 @@ func (p *Pool) Close() {
 	p.closed = true
 	close(p.taskCh)
 	close(p.stopCh)
-	p.tr.Close()
 	p.wg.Wait()
 }
 
@@ -220,72 +177,33 @@ func (p *Pool) Drain() {
 	p.drainOnce.Do(func() { close(p.drainCh) })
 }
 
-// LiveWorkers reports the currently connected worker count.
-func (p *Pool) LiveWorkers() int { return int(p.live.Load()) }
-
-// noteLeave records a departed connection and, when it failed, the reason —
-// the "last failure" a zero-membership error names.
-func (p *Pool) noteLeave(err error) {
-	p.live.Add(-1)
-	if err != nil {
-		p.lastErrMu.Lock()
-		p.lastErr = err
-		p.lastErrMu.Unlock()
-	}
-}
-
-func (p *Pool) lastFailure() error {
-	p.lastErrMu.Lock()
-	defer p.lastErrMu.Unlock()
-	return p.lastErr
-}
-
-// Run implements Exec for a single spec.
-func (p *Pool) Run(s *Spec) (*Grid, error) {
-	var out *Grid
-	err := p.RunAll([]*Spec{s}, func(_ int, g *Grid) error {
-		out = g
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunAll evaluates every spec's grid on the shared pool, pipelining cells
-// across spec boundaries: as soon as one spec's queue drains, workers pull
-// cells of the next spec while the previous spec's tail cells are still in
-// flight. emit is called once per spec, in spec order, as each grid
-// completes (it may be nil). On failure the already-dispatched cells are
-// drained before returning, so the pool stays usable for another RunAll.
-func (p *Pool) RunAll(specs []*Spec, emit func(i int, g *Grid) error) error {
-	_, err := p.RunAllGrids(specs, emit)
-	return err
-}
-
-// RunAllGrids is RunAll returning the per-spec grids. On ErrDrained the
-// grids hold every cell completed before the drain — persist them with
-// Grid.Partial; on other errors they are partial and best ignored.
+// RunAllGrids evaluates every spec's grid on the shared pool, pipelining
+// cells across spec boundaries: as soon as one spec's queue drains, workers
+// pull cells of the next spec while the previous spec's tail cells are
+// still in flight. emit is called once per spec, in spec order, as each
+// grid completes (it may be nil). On failure the already-dispatched cells
+// are drained before returning, so the pool stays usable for another run.
+//
+// It returns the per-spec grids. On ErrDrained the grids hold every cell
+// completed before the drain — persist them with Grid.Partial; on other
+// errors they are partial and best ignored.
 func (p *Pool) RunAllGrids(specs []*Spec, emit func(i int, g *Grid) error) ([]*Grid, error) {
-	return p.runAllCells(specs, make([][]int, len(specs)), emit)
+	cells := make([][]int, len(specs))
+	for i, s := range specs {
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		cells[i] = allCells(s)
+	}
+	return p.runAllCells(specs, cells, emit)
 }
 
 // RunCells evaluates an explicit subset of one spec's cells on the pool —
 // the sharded path (ShardCells or a timing plan picks the subset), with
 // the pool's fault tolerance instead of a Local goroutine pool. The grid
 // is incomplete by design, like CellSet's; persist it with Grid.Partial.
+// An empty subset evaluates nothing.
 func (p *Pool) RunCells(s *Spec, idxs []int) (*Grid, error) {
-	seen := make(map[int]bool, len(idxs))
-	for _, idx := range idxs {
-		if idx < 0 || idx >= s.Cells() {
-			return nil, fmt.Errorf("runner: cell set index %d outside grid of %d cells", idx, s.Cells())
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("runner: cell set repeats index %d", idx)
-		}
-		seen[idx] = true
-	}
 	grids, err := p.runAllCells([]*Spec{s}, [][]int{idxs}, nil)
 	if err != nil {
 		return nil, err
@@ -294,26 +212,28 @@ func (p *Pool) RunCells(s *Spec, idxs []int) (*Grid, error) {
 }
 
 // runAllCells is the engine under RunAllGrids and RunCells: for each spec
-// it evaluates either the whole grid (cells[i] == nil) or an explicit
-// index subset.
+// it evaluates the index subset cells[i], which checkCells validates.
 func (p *Pool) runAllCells(specs []*Spec, cells [][]int, emit func(i int, g *Grid) error) ([]*Grid, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, fmt.Errorf("runner: RunAll on a closed pool")
+		return nil, fmt.Errorf("runner: run on a closed pool")
 	}
 	if pt, ok := p.tr.(*PipeTransport); ok && pt.Command == nil {
 		return nil, fmt.Errorf("runner: pool without a worker command")
 	}
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("runner: RunAll without specs")
+		return nil, fmt.Errorf("runner: run without specs")
 	}
-	for _, s := range specs {
+	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
 		if strings.ContainsAny(s.Name, " \t\r\n") {
 			return nil, fmt.Errorf("runner: spec name %q cannot cross the worker protocol", s.Name)
+		}
+		if err := checkCells(s, cells[i]); err != nil {
+			return nil, err
 		}
 	}
 
@@ -323,13 +243,6 @@ func (p *Pool) runAllCells(specs []*Spec, cells [][]int, emit func(i int, g *Gri
 	var pending []queued
 	for i, s := range specs {
 		grids[i] = NewGrid(s)
-		if cells[i] == nil {
-			remaining[i] = s.Cells()
-			for c := 0; c < s.Cells(); c++ {
-				pending = append(pending, queued{i, c, 0})
-			}
-			continue
-		}
 		remaining[i] = len(cells[i])
 		for _, c := range cells[i] {
 			pending = append(pending, queued{i, c, 0})
@@ -360,19 +273,6 @@ func (p *Pool) runAllCells(specs []*Spec, cells [][]int, emit func(i int, g *Gri
 			drainTimer.Stop()
 		}
 	}()
-
-	// Zero-membership detection for worker-driven transports: when every
-	// worker has left (after at least one had joined) and work remains,
-	// the run fails after RejoinGrace names the last failure — instead of
-	// hanging forever on a queue nobody serves.
-	workerDriven := p.tr.Slots() == 0
-	var memTickC <-chan time.Time
-	if workerDriven {
-		memTick := time.NewTicker(50 * time.Millisecond)
-		defer memTick.Stop()
-		memTickC = memTick.C
-	}
-	var zeroSince time.Time
 
 	maybeEmit := func() {
 		for failure == nil && emitted < len(specs) && remaining[emitted] == 0 {
@@ -431,22 +331,6 @@ func (p *Pool) runAllCells(specs []*Spec, cells [][]int, emit func(i int, g *Gri
 			startDrain()
 		case <-drainTimeout:
 			abandoned = true
-		case <-memTickC:
-			if failure == nil && !draining && p.everJoined.Load() && p.live.Load() == 0 &&
-				(next < len(pending) || inflight > 0) {
-				if zeroSince.IsZero() {
-					zeroSince = time.Now() //repcheck:allow-wallclock rejoin grace is a real-time liveness window
-				} else if time.Since(zeroSince) >= p.cfg.RejoinGrace { //repcheck:allow-wallclock rejoin grace is a real-time liveness window
-					last := p.lastFailure()
-					if last == nil {
-						last = errors.New("workers disconnected without reporting a failure")
-					}
-					failure = fmt.Errorf("runner: all workers left the pool with %d cells outstanding; last worker failure: %w",
-						len(pending)-next+inflight, last)
-				}
-			} else {
-				zeroSince = time.Time{}
-			}
 		}
 	}
 	if failure != nil {
@@ -462,47 +346,9 @@ func (p *Pool) runAllCells(specs []*Spec, cells [][]int, emit func(i int, g *Gri
 	return grids, nil
 }
 
-// joinLoop serves worker-driven transports: every connection a worker
-// establishes becomes a serving goroutine fed from the shared task queue —
-// elastic membership, workers joining whenever they dial in.
-func (p *Pool) joinLoop(joined <-chan Conn) {
-	defer p.wg.Done()
-	for {
-		select {
-		case c, ok := <-joined:
-			if !ok {
-				return
-			}
-			p.wg.Add(1)
-			go p.connLoop(c)
-		case <-p.stopCh:
-			return
-		}
-	}
-}
-
-// connLoop serves one worker-driven connection until it fails or the pool
-// closes. There is no respawn here: a remote worker that wants back in
-// dials again (its own backoff), and the fresh connection gets a fresh
-// connLoop.
-func (p *Pool) connLoop(c Conn) {
-	defer p.wg.Done()
-	lc := newLiveConn(c)
-	p.live.Add(1)
-	p.everJoined.Store(true)
-	orderly, err := p.serveConn(lc, nil, p.cfg.HeartbeatTimeout)
-	if orderly {
-		p.noteLeave(nil)
-		lc.shutdown()
-		return
-	}
-	p.noteLeave(err)
-	lc.retire()
-}
-
-// slotLoop owns one pool-driven worker slot: it lazily connects (spawning
-// a subprocess) when a task arrives, serves tasks until the connection
-// fails, and reconnects for the next task after an exponential-backoff
+// slotLoop owns one worker slot: it lazily connects (spawning a
+// subprocess) when a task arrives, serves tasks until the connection
+// fails, and respawns for the next task after an exponential-backoff
 // penalty — so a crash-looping worker binary cannot spin the coordinator.
 // A spawn failure charges the waiting task one attempt, exactly like any
 // other worker failure.
@@ -527,15 +373,10 @@ func (p *Pool) slotLoop() {
 			continue
 		}
 		lc := newLiveConn(c)
-		p.live.Add(1)
-		p.everJoined.Store(true)
-		orderly, serveErr := p.serveConn(lc, &t, 0)
-		if orderly {
-			p.noteLeave(nil)
+		if p.serveConn(lc, t) {
 			lc.shutdown()
 			return
 		}
-		p.noteLeave(serveErr)
 		lc.retire()
 		if lc.served.Load() > 0 {
 			// The binary did real work before dying: not a crash loop.
@@ -545,61 +386,32 @@ func (p *Pool) slotLoop() {
 	}
 }
 
-// serveConn serves tasks on one connection until the pool closes (orderly
-// == true; the caller shuts the connection down) or the connection fails
-// (orderly == false with the reason; the caller retires it). first, if
-// non-nil, is a task already pulled by the caller. idleTimeout, when
-// positive, retires the connection if nothing — not even a heartbeat —
-// arrives for that long while no cell is in flight.
-func (p *Pool) serveConn(lc *liveConn, first *poolTask, idleTimeout time.Duration) (orderly bool, reason error) {
+// serveConn serves tasks on one connection, starting with first, a task
+// the caller already pulled, until the pool closes (true; the caller shuts
+// the connection down) or the connection fails (false; the caller retires
+// it).
+func (p *Pool) serveConn(lc *liveConn, first poolTask) (orderly bool) {
 	spec := "" // name announced with the last SPEC line
-	if first != nil {
-		switch st, err := p.runTask(lc, &spec, *first); st {
-		case taskConnDead:
-			return false, err
-		case taskPoolStopped:
-			return true, nil
-		}
-	}
-	var idleTickC <-chan time.Time
-	if idleTimeout > 0 {
-		interval := idleTimeout / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		idleTick := time.NewTicker(interval)
-		defer idleTick.Stop()
-		idleTickC = idleTick.C
-	}
+	t := first
 	for {
+		switch p.runTask(lc, &spec, t) {
+		case taskConnDead:
+			return false
+		case taskPoolStopped:
+			return true
+		}
 		select {
-		case t, ok := <-p.taskCh:
+		case next, ok := <-p.taskCh:
 			if !ok {
-				return true, nil
+				return true
 			}
-			switch st, err := p.runTask(lc, &spec, t); st {
-			case taskConnDead:
-				return false, err
-			case taskPoolStopped:
-				return true, nil
-			}
-		case r := <-lc.respCh:
-			// A line with no cell in flight: a heartbeat is expected,
-			// anything else means the peer is gone or off-protocol.
-			if r.err != nil {
-				return false, r.err
-			}
-			if r.msg.Hb {
-				continue
-			}
-			return false, fmt.Errorf("runner: %s: unexpected response %q on an idle connection", lc.conn.Name(), r.raw)
-		case <-idleTickC:
-			if idle := time.Since(time.Unix(0, lc.lastRecv.Load())); idle > idleTimeout { //repcheck:allow-wallclock dead-peer detection is a real-time concern
-				return false, fmt.Errorf("runner: %s: silent for %v on an idle connection (dead peer?)",
-					lc.conn.Name(), idle.Round(time.Millisecond))
-			}
+			t = next
+		case <-lc.respCh:
+			// A line (or EOF) with no cell in flight: the peer is gone or
+			// off-protocol.
+			return false
 		case <-p.stopCh:
-			return true, nil
+			return true
 		}
 	}
 }
@@ -617,66 +429,50 @@ const (
 // changed, send the index, wait for the response under the per-cell
 // deadline. Every path reports the task's outcome to the coordinator
 // before returning.
-func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) (taskStatus, error) {
-	fail := func(err error) {
+func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) taskStatus {
+	fail := func(err error, st taskStatus) taskStatus {
 		t.done <- poolDone{t.specIdx, t.idx, t.attempt, nil, 0, err}
+		return st
 	}
 	if *spec != t.spec.Name {
 		if err := lc.conn.WriteLine("SPEC " + t.spec.Name); err != nil {
-			fail(err)
-			return taskConnDead, err
+			return fail(err, taskConnDead)
 		}
 		*spec = t.spec.Name
 	}
 	if err := lc.conn.WriteLine(strconv.Itoa(t.idx)); err != nil {
-		fail(err)
-		return taskConnDead, err
+		return fail(err, taskConnDead)
 	}
 	deadline := p.track.Current()
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
 	start := time.Now() //repcheck:allow-wallclock feeds the adaptive deadline tracker, never cell values
-	for {
-		select {
-		case r := <-lc.respCh:
-			if r.err != nil {
-				err := fmt.Errorf("runner: worker died on cell %d: %w", t.idx, r.err)
-				fail(err)
-				return taskConnDead, err
-			}
-			if r.msg.Hb {
-				continue // heartbeats may interleave with a slow cell
-			}
-			msg := r.msg
-			if msg.Idx != t.idx {
-				err := fmt.Errorf("runner: %s answered cell %d for cell %d", lc.conn.Name(), msg.Idx, t.idx)
-				fail(err)
-				return taskConnDead, err
-			}
-			if msg.Err != "" {
-				// The worker is healthy; the cell itself failed. Keep the
-				// connection, surface the error for the retry budget.
-				fail(fmt.Errorf("%s", msg.Err))
-				return taskServed, nil
-			}
-			if msg.Values == nil {
-				err := fmt.Errorf("runner: empty worker result for cell %d", t.idx)
-				fail(err)
-				return taskConnDead, err
-			}
-			p.track.Observe(time.Since(start)) //repcheck:allow-wallclock feeds the adaptive deadline tracker, never cell values
-			lc.served.Add(1)
-			t.done <- poolDone{t.specIdx, t.idx, t.attempt, msg.Values, msg.Nanos, nil}
-			return taskServed, nil
-		case <-timer.C:
-			err := fmt.Errorf("runner: %s: no response for spec %s cell %d within the %v deadline (wedged worker?)",
-				lc.conn.Name(), t.spec.Name, t.idx, deadline.Round(time.Millisecond))
-			fail(err)
-			return taskConnDead, err
-		case <-p.stopCh:
-			fail(fmt.Errorf("runner: pool closed with cell %d in flight", t.idx))
-			return taskPoolStopped, nil
+	select {
+	case r := <-lc.respCh:
+		if r.err != nil {
+			return fail(fmt.Errorf("runner: worker died on cell %d: %w", t.idx, r.err), taskConnDead)
 		}
+		msg := r.msg
+		if msg.Idx != t.idx {
+			return fail(fmt.Errorf("runner: %s answered cell %d for cell %d", lc.conn.Name(), msg.Idx, t.idx), taskConnDead)
+		}
+		if msg.Err != "" {
+			// The worker is healthy; the cell itself failed. Keep the
+			// connection, surface the error for the retry budget.
+			return fail(fmt.Errorf("%s", msg.Err), taskServed)
+		}
+		if msg.Values == nil {
+			return fail(fmt.Errorf("runner: empty worker result for cell %d", t.idx), taskConnDead)
+		}
+		p.track.Observe(time.Since(start)) //repcheck:allow-wallclock feeds the adaptive deadline tracker, never cell values
+		lc.served.Add(1)
+		t.done <- poolDone{t.specIdx, t.idx, t.attempt, msg.Values, msg.Nanos, nil}
+		return taskServed
+	case <-timer.C:
+		return fail(fmt.Errorf("runner: %s: no response for spec %s cell %d within the %v deadline (wedged worker?)",
+			lc.conn.Name(), t.spec.Name, t.idx, deadline.Round(time.Millisecond)), taskConnDead)
+	case <-p.stopCh:
+		return fail(fmt.Errorf("runner: pool closed with cell %d in flight", t.idx), taskPoolStopped)
 	}
 }
 
@@ -684,26 +480,22 @@ func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) (taskStatus, erro
 // the stream).
 type connResp struct {
 	msg cellMsg
-	raw string
 	err error
 }
 
 // liveConn couples a Conn with the reader goroutine that turns its line
 // stream into parsed responses — the shape that lets the serving goroutine
-// select over responses, deadlines, heartbeat staleness, and pool shutdown
-// at once.
+// select over responses, deadlines, and pool shutdown at once.
 type liveConn struct {
 	conn     Conn
 	respCh   chan connResp
 	dead     chan struct{}
 	deadOnce sync.Once
-	lastRecv atomic.Int64 // unix nanos of the last received line
 	served   atomic.Int64 // successfully served cells (backoff reset signal)
 }
 
 func newLiveConn(c Conn) *liveConn {
 	lc := &liveConn{conn: c, respCh: make(chan connResp, 4), dead: make(chan struct{})}
-	lc.lastRecv.Store(time.Now().UnixNano()) //repcheck:allow-wallclock liveness timestamp for dead-peer detection
 	go lc.readLoop()
 	return lc
 }
@@ -718,17 +510,16 @@ func (lc *liveConn) readLoop() {
 			lc.deliver(connResp{err: err})
 			return
 		}
-		lc.lastRecv.Store(time.Now().UnixNano()) //repcheck:allow-wallclock liveness timestamp for dead-peer detection
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
 		var msg cellMsg
 		if jerr := json.Unmarshal([]byte(line), &msg); jerr != nil {
-			lc.deliver(connResp{raw: line, err: fmt.Errorf("bad worker response %q: %w", line, jerr)})
+			lc.deliver(connResp{err: fmt.Errorf("bad worker response %q: %w", line, jerr)})
 			return
 		}
-		if !lc.deliver(connResp{msg: msg, raw: line}) {
+		if !lc.deliver(connResp{msg: msg}) {
 			return
 		}
 	}

@@ -29,6 +29,20 @@ func testWorkerCommand(t testing.TB, extraEnv func() []string) func() (*exec.Cmd
 	}
 }
 
+// newPipePool is a subprocess pool with the production failure defaults.
+func newPipePool(n int, command func() (*exec.Cmd, error)) *Pool {
+	return NewPoolTransport(&PipeTransport{N: n, Command: command}, Config{})
+}
+
+// runOne evaluates one spec's whole grid on the pool.
+func runOne(p *Pool, s *Spec) (*Grid, error) {
+	grids, err := p.RunAllGrids([]*Spec{s}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return grids[0], nil
+}
+
 func namedSpec(t testing.TB, name string) *Spec {
 	s, err := buildTestSpec(name)
 	if err != nil {
@@ -49,11 +63,11 @@ func TestPoolPipelinesAcrossSpecs(t *testing.T) {
 		namedSpec(t, "grid-2x2x3"),
 		namedSpec(t, "grid-4x1x2"),
 	}
-	pool := NewPool(2, 0, testWorkerCommand(t, nil))
+	pool := newPipePool(2, testWorkerCommand(t, nil))
 	defer pool.Close()
 	var order []int
 	grids := make([]*Grid, len(specs))
-	if err := pool.RunAll(specs, func(i int, g *Grid) error {
+	if _, err := pool.RunAllGrids(specs, func(i int, g *Grid) error {
 		order = append(order, i)
 		grids[i] = g
 		return nil
@@ -79,7 +93,7 @@ func TestPoolPipelinesAcrossSpecs(t *testing.T) {
 	// The same pool must serve a second selection (the subprocesses are
 	// still up and switch specs on demand).
 	s := namedSpec(t, "grid-2x3x2")
-	g, err := pool.Run(s)
+	g, err := runOne(pool, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +120,14 @@ func TestPoolRequeuesDeadWorker(t *testing.T) {
 	}
 	s := namedSpec(t, "grid-4x3x2")
 	var spawned atomic.Int64
-	pool := NewPool(2, 0, testWorkerCommand(t, func() []string {
+	pool := newPipePool(2, testWorkerCommand(t, func() []string {
 		if spawned.Add(1) == 1 {
-			return []string{"RUNNER_TEST_DIE_AFTER=3"}
+			return []string{"RUNNER_TEST_FAULT=exit:3"}
 		}
 		return nil
 	}))
 	defer pool.Close()
-	g, err := pool.Run(s)
+	g, err := runOne(pool, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +158,9 @@ func TestPoolFailsDeterministicCell(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	s := namedSpec(t, "failcell-3x1x1") // cell index 1 (xi=1) always errors
-	pool := NewPool(2, 0, testWorkerCommand(t, nil))
+	pool := newPipePool(2, testWorkerCommand(t, nil))
 	defer pool.Close()
-	_, err := pool.Run(s)
+	_, err := runOne(pool, s)
 	if err == nil {
 		t.Fatal("deterministically failing cell did not fail the run")
 	}
@@ -156,7 +170,7 @@ func TestPoolFailsDeterministicCell(t *testing.T) {
 		}
 	}
 	// The pool survives the failed run: a healthy spec still completes.
-	g, err := pool.Run(namedSpec(t, "grid-2x2x1"))
+	g, err := runOne(pool, namedSpec(t, "grid-2x2x1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +189,14 @@ func TestPoolRetriesSpawnFailure(t *testing.T) {
 	s := namedSpec(t, "grid-2x2x1")
 	healthy := testWorkerCommand(t, nil)
 	var calls atomic.Int64
-	pool := NewPool(1, 0, func() (*exec.Cmd, error) {
+	pool := newPipePool(1, func() (*exec.Cmd, error) {
 		if calls.Add(1) == 1 {
 			return nil, fmt.Errorf("transient spawn failure")
 		}
 		return healthy()
 	})
 	defer pool.Close()
-	g, err := pool.Run(s)
+	g, err := runOne(pool, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +212,9 @@ func TestPoolRecordsTimings(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	s := namedSpec(t, "work-2x2x1-200000")
-	pool := NewPool(2, 0, testWorkerCommand(t, nil))
+	pool := newPipePool(2, testWorkerCommand(t, nil))
 	defer pool.Close()
-	g, err := pool.Run(s)
+	g, err := runOne(pool, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,29 +236,30 @@ func TestPoolRecordsTimings(t *testing.T) {
 func TestPoolRejectsUnserializableSpecName(t *testing.T) {
 	s := testSpec(1, 1, 1)
 	s.Name = "has space"
-	pool := NewPool(1, 0, testWorkerCommand(t, nil))
+	pool := newPipePool(1, testWorkerCommand(t, nil))
 	defer pool.Close()
-	if _, err := pool.Run(s); err == nil {
+	if _, err := runOne(pool, s); err == nil {
 		t.Fatal("spec name with whitespace accepted")
 	}
 }
 
 // TestPoolClosedRefusesRuns pins Close semantics.
 func TestPoolClosedRefusesRuns(t *testing.T) {
-	pool := NewPool(1, 0, testWorkerCommand(t, nil))
+	pool := newPipePool(1, testWorkerCommand(t, nil))
 	pool.Close()
 	pool.Close() // idempotent
-	if _, err := pool.Run(testSpec(1, 1, 1)); err == nil {
+	if _, err := runOne(pool, testSpec(1, 1, 1)); err == nil {
 		t.Fatal("closed pool accepted a run")
 	}
 }
 
-// TestCellSetMatchesShard pins the planned-shard execution path: an
-// explicit cell list must produce the same partial grid as the equivalent
-// modulo shard, and invalid lists are rejected.
+// TestCellSetMatchesShard pins the shard execution path: CellSet over an
+// explicit cell list (here the modulo shard 2/3) must evaluate exactly
+// those cells, with the Local run's values, and invalid lists are
+// rejected.
 func TestCellSetMatchesShard(t *testing.T) {
 	s := testSpec(5, 2, 3)
-	want, err := Shard{Index: 2, Total: 3}.Run(s)
+	full, err := Local{}.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +273,12 @@ func TestCellSetMatchesShard(t *testing.T) {
 	}
 	for idx := 0; idx < s.Cells(); idx++ {
 		xi, vi, run := s.Coords(idx)
-		if !reflect.DeepEqual(got.Cell(xi, vi, run), want.Cell(xi, vi, run)) {
-			t.Fatalf("cell %d differs between CellSet and Shard", idx)
+		var want []float64
+		if idx%3 == 1 {
+			want = full.Cell(xi, vi, run)
+		}
+		if !reflect.DeepEqual(got.Cell(xi, vi, run), want) {
+			t.Fatalf("cell %d: CellSet has %v, want %v", idx, got.Cell(xi, vi, run), want)
 		}
 	}
 	if _, err := (CellSet{Idxs: []int{-1}}).Run(s); err == nil {
@@ -322,8 +341,8 @@ func BenchmarkPoolPipelined(b *testing.B) {
 	cmd := testWorkerCommand(b, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool := NewPool(2, 0, cmd)
-		if err := pool.RunAll(specs, nil); err != nil {
+		pool := newPipePool(2, cmd)
+		if _, err := pool.RunAllGrids(specs, nil); err != nil {
 			b.Fatal(err)
 		}
 		pool.Close()
@@ -339,8 +358,8 @@ func BenchmarkPoolPerFigure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range specs {
-			pool := NewPool(2, 0, cmd)
-			if _, err := pool.Run(s); err != nil {
+			pool := newPipePool(2, cmd)
+			if _, err := runOne(pool, s); err != nil {
 				b.Fatal(err)
 			}
 			pool.Close()
@@ -348,8 +367,9 @@ func BenchmarkPoolPerFigure(b *testing.B) {
 	}
 }
 
-// TestShardCellsMatchesShard pins the exported slicing helper to the Shard
-// backend's modulo rule, so the pooled shard path covers the same cells.
+// TestShardCellsMatchesShard pins the exported slicing helper to the
+// modulo rule: the shards of a split cover every cell exactly once, so the
+// in-process and pooled shard paths cover the same cells.
 func TestShardCellsMatchesShard(t *testing.T) {
 	for total := 1; total <= 4; total++ {
 		covered := map[int]bool{}
@@ -378,6 +398,10 @@ func TestShardCellsMatchesShard(t *testing.T) {
 	if _, err := ShardCells(10, 3, 2); err == nil {
 		t.Fatal("shard index beyond total accepted")
 	}
+	// A shard past the grid's last cell is empty, not an error.
+	if cells, err := ShardCells(4, 5, 8); err != nil || len(cells) != 0 {
+		t.Fatalf("shard 5/8 of 4 cells: %v, %v; want no cells", cells, err)
+	}
 }
 
 // TestPoolRunCellsMatchesCellSet runs one shard's cells through the worker
@@ -389,7 +413,7 @@ func TestPoolRunCellsMatchesCellSet(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	s := namedSpec(t, "grid-3x2x2")
-	pool := NewPool(2, 0, testWorkerCommand(t, nil))
+	pool := newPipePool(2, testWorkerCommand(t, nil))
 	defer pool.Close()
 	idxs1, err := ShardCells(s.Cells(), 1, 2)
 	if err != nil {

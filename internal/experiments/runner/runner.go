@@ -9,17 +9,18 @@
 // ever reads the finished grid, so the emitted table is independent of the
 // execution schedule.
 //
-// Execution goes through a pluggable Exec backend:
+// There are three ways to evaluate cells:
 //
-//   - Local runs cells on a bounded worker pool inside the current process.
-//   - Pool shares one set of worker subprocesses (cmd/figures -worker)
-//     across a whole multi-spec selection, streaming cell assignments over
-//     pipes; a crashed worker is respawned and its in-flight cell requeued.
-//   - Procs is the single-spec convenience over Pool.
-//   - Shard evaluates a deterministic subset of the grid, for multi-machine
-//     runs whose partial results are merged later (trace.MergePartials);
-//     CellSet evaluates an explicit cell list, for timing-balanced plans
-//     (trace.PlanShards).
+//   - in-process: Local runs the whole grid on a bounded goroutine pool,
+//     and CellSet runs an explicit cell subset (a modulo shard from
+//     ShardCells, a timing plan's shard from trace.PlanShards, or the
+//     cells a drain left behind);
+//   - across local subprocesses: Pool shares one set of worker processes
+//     (cmd/figures -worker) across a whole multi-spec selection, streaming
+//     cell assignments over pipes; a crashed worker is respawned and its
+//     in-flight cell requeued;
+//   - across machines: each machine evaluates a subset and writes it as a
+//     partial file (Grid.Partial); trace.MergePartials folds them back.
 package runner
 
 import (
@@ -262,11 +263,16 @@ func (l Local) Run(s *Spec) (*Grid, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return runCells(s, allCells(s), l.Workers)
+}
+
+// allCells lists every flat cell index of the spec's grid.
+func allCells(s *Spec) []int {
 	idxs := make([]int, s.Cells())
 	for i := range idxs {
 		idxs[i] = i
 	}
-	return runCells(s, idxs, l.Workers)
+	return idxs
 }
 
 // runCells evaluates the given cells with at most `workers` goroutines and
@@ -336,31 +342,11 @@ func runCells(s *Spec, idxs []int, workers int) (*Grid, error) {
 	return g, nil
 }
 
-// Shard evaluates the deterministic 1-based Index-th of Total slices of the
-// grid (cells whose flat index is congruent to Index-1 modulo Total) on a
-// Local pool. The resulting grid is incomplete by design; convert it with
-// Grid.Partial, persist it, and merge the shards' partials later.
-type Shard struct {
-	Index, Total int
-	// Workers bounds the local pool, as in Local.
-	Workers int
-}
-
-// Run implements Exec.
-func (sh Shard) Run(s *Spec) (*Grid, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	idxs, err := ShardCells(s.Cells(), sh.Index, sh.Total)
-	if err != nil {
-		return nil, err
-	}
-	return runCells(s, idxs, sh.Workers)
-}
-
 // ShardCells returns the flat cell indexes of the 1-based index-th of
-// total modulo shards over a grid of cells cells — the one slicing rule
-// Shard and the pooled shard path share, so both cover the same cells.
+// total modulo shards over a grid of cells cells (those congruent to
+// index-1 modulo total) — the one slicing rule the in-process and pooled
+// shard paths share, so both cover the same cells. A shard beyond the
+// grid's last cell is empty, not an error.
 func ShardCells(cells, index, total int) ([]int, error) {
 	if total <= 0 || index < 1 || index > total {
 		return nil, fmt.Errorf("runner: invalid shard %d/%d", index, total)
@@ -372,10 +358,11 @@ func ShardCells(cells, index, total int) ([]int, error) {
 	return idxs, nil
 }
 
-// CellSet evaluates an explicit set of cells on a Local pool — the
-// planned-shard path, where a timing plan (trace.PlanShards) rather than
-// index arithmetic picks each machine's cells. Like Shard, the resulting
-// grid is incomplete by design; persist it with Grid.Partial and merge.
+// CellSet evaluates an explicit set of cells on a Local pool — the shard,
+// planned-shard and resume paths, where ShardCells, a timing plan
+// (trace.PlanShards) or a drained run's missing cells pick each machine's
+// cells. The resulting grid is incomplete by design; persist it with
+// Grid.Partial and merge. An empty set evaluates nothing.
 type CellSet struct {
 	Idxs []int
 	// Workers bounds the local pool, as in Local.
@@ -387,15 +374,25 @@ func (c CellSet) Run(s *Spec) (*Grid, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	seen := make(map[int]bool, len(c.Idxs))
-	for _, idx := range c.Idxs {
+	if err := checkCells(s, c.Idxs); err != nil {
+		return nil, err
+	}
+	return runCells(s, c.Idxs, c.Workers)
+}
+
+// checkCells validates an explicit cell subset against the spec's grid:
+// every index in range, none repeated. CellSet and Pool.RunCells share it,
+// so both backends accept exactly the same subsets.
+func checkCells(s *Spec, idxs []int) error {
+	seen := make(map[int]bool, len(idxs))
+	for _, idx := range idxs {
 		if idx < 0 || idx >= s.Cells() {
-			return nil, fmt.Errorf("runner: cell set index %d outside grid of %d cells", idx, s.Cells())
+			return fmt.Errorf("runner: cell set index %d outside grid of %d cells", idx, s.Cells())
 		}
 		if seen[idx] {
-			return nil, fmt.Errorf("runner: cell set repeats index %d", idx)
+			return fmt.Errorf("runner: cell set repeats index %d", idx)
 		}
 		seen[idx] = true
 	}
-	return runCells(s, c.Idxs, c.Workers)
+	return nil
 }

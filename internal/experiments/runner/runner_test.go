@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workerfault"
 )
 
 // testSpec is a deterministic spec whose cell values encode their own
@@ -100,12 +101,16 @@ func buildTestSpec(name string) (*Spec, error) {
 func TestMain(m *testing.M) {
 	// Re-executed as a pool worker: speak the worker protocol on
 	// stdin/stdout (SPEC lines select the grid), then exit.
+	// RUNNER_TEST_FAULT (workerfault syntax, kind:N[:delay]) installs one
+	// failure mode on the worker's streams.
 	if os.Getenv("RUNNER_TEST_WORKER") != "" {
-		var out io.Writer = os.Stdout
-		if n, _ := strconv.Atoi(os.Getenv("RUNNER_TEST_DIE_AFTER")); n > 0 {
-			out = &DieAfterWriter{W: os.Stdout, Lines: n}
+		fault, err := workerfault.Parse(os.Getenv("RUNNER_TEST_FAULT"))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		if err := ServePool(nil, buildTestSpec, os.Stdin, out); err != nil {
+		in, out := fault.Wrap(os.Stdin, os.Stdout)
+		if err := ServePool(buildTestSpec, in, out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -235,7 +240,11 @@ func TestShardPartialMergeMatchesLocal(t *testing.T) {
 		var parts []*trace.Partial
 		covered := 0
 		for i := 1; i <= total; i++ {
-			g, err := Shard{Index: i, Total: total}.Run(s)
+			idxs, err := ShardCells(s.Cells(), i, total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := CellSet{Idxs: idxs}.Run(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,11 +280,20 @@ func TestShardPartialMergeMatchesLocal(t *testing.T) {
 }
 
 func TestShardRejectsBadSplit(t *testing.T) {
-	s := testSpec(2, 2, 2)
-	for _, sh := range []Shard{{Index: 0, Total: 2}, {Index: 3, Total: 2}, {Index: 1, Total: 0}} {
-		if _, err := sh.Run(s); err == nil {
-			t.Fatalf("shard %d/%d accepted", sh.Index, sh.Total)
+	for _, sh := range [][2]int{{0, 2}, {3, 2}, {1, 0}, {-1, 2}} {
+		if _, err := ShardCells(8, sh[0], sh[1]); err == nil {
+			t.Fatalf("shard %d/%d accepted", sh[0], sh[1])
 		}
+	}
+}
+
+// serveSpec is a ServePool build function serving only s.
+func serveSpec(s *Spec) func(name string) (*Spec, error) {
+	return func(name string) (*Spec, error) {
+		if name != s.Name {
+			return nil, fmt.Errorf("worker for %s asked to serve %s", s.Name, name)
+		}
+		return s, nil
 	}
 }
 
@@ -285,13 +303,14 @@ func TestServeWorkerProtocol(t *testing.T) {
 	workerIn, clientOut := io.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		err := ServeWorker(s, workerIn, workerOut)
+		err := ServePool(serveSpec(s), workerIn, workerOut)
 		workerOut.Close()
 		done <- err
 	}()
 
 	// Drive two cells by hand and check the responses line up.
 	go func() {
+		fmt.Fprintln(clientOut, "SPEC", s.Name)
 		fmt.Fprintln(clientOut, 3)
 		fmt.Fprintln(clientOut, 0)
 		clientOut.Close()
@@ -343,7 +362,8 @@ func TestServeWorkerReportsCellErrors(t *testing.T) {
 	in, out := io.Pipe()
 	var buf safeBuffer
 	done := make(chan error, 1)
-	go func() { done <- ServeWorker(s, in, &buf) }()
+	go func() { done <- ServePool(serveSpec(s), in, &buf) }()
+	fmt.Fprintln(out, "SPEC", s.Name)
 	fmt.Fprintln(out, 0)
 	out.Close()
 	if err := <-done; err != nil {
@@ -372,9 +392,19 @@ func (b *safeBuffer) String() string {
 	return string(b.buf)
 }
 
+// TestServeWorkerRequiresSpec: the coordinator always announces a spec
+// before its first cell, so a bare assignment is a protocol error.
+func TestServeWorkerRequiresSpec(t *testing.T) {
+	s := testSpec(1, 1, 1)
+	err := ServePool(serveSpec(s), strings.NewReader("0\n"), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "before any SPEC line") {
+		t.Fatalf("assignment before SPEC: got %v", err)
+	}
+}
+
 // TestProcsRoundTrip spawns this test binary as real worker subprocesses
-// (via the TestMain hook) and checks the multi-process table is identical to
-// the in-process one.
+// (via the TestMain hook) — the -procs backend — and checks the
+// multi-process table is identical to the in-process one.
 func TestProcsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -384,17 +414,19 @@ func TestProcsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := Procs{
-		N: 2,
-		Command: func() (*exec.Cmd, error) {
-			cmd := exec.Command(exe)
-			cmd.Env = append(os.Environ(),
-				"RUNNER_TEST_WORKER="+fmt.Sprintf("%d,%d,%d", s.Xs, s.Variants, s.Runs))
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		},
+	pool := newPipePool(2, func() (*exec.Cmd, error) {
+		cmd := exec.Command(exe)
+		cmd.Env = append(os.Environ(),
+			"RUNNER_TEST_WORKER="+fmt.Sprintf("%d,%d,%d", s.Xs, s.Variants, s.Runs))
+		cmd.Stderr = os.Stderr
+		return cmd, nil
+	})
+	defer pool.Close()
+	g, err := runOne(pool, s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := Run(s, procs)
+	got, err := Reduce(s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,14 +444,13 @@ func TestProcsSurfacesWorkerDeath(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	s := testSpec(2, 1, 2)
-	procs := Procs{
-		N: 1,
-		Command: func() (*exec.Cmd, error) {
-			// A worker that exits immediately without speaking the protocol.
-			return exec.Command("/bin/sh", "-c", "exit 0"), nil
-		},
-	}
-	if _, err := Run(s, procs); err == nil {
+	// A worker that exits immediately without speaking the protocol; the
+	// fast test backoff keeps the respawn attempts from sleeping seconds.
+	pool := NewPoolTransport(&PipeTransport{N: 1, Command: func() (*exec.Cmd, error) {
+		return exec.Command("/bin/sh", "-c", "exit 0"), nil
+	}}, fastCfg())
+	defer pool.Close()
+	if _, err := runOne(pool, s); err == nil {
 		t.Fatal("dead worker not reported")
 	}
 }

@@ -3,120 +3,39 @@ package runner
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// protoBye is the coordinator's orderly end-of-session line: a worker that
-// reads it knows the coordinator is done with it (as opposed to a bare EOF,
-// which on a network transport may also be a dropped connection).
-const protoBye = "BYE"
-
-// heartbeatLine is the worker's idle keep-alive: a cellMsg carrying only
-// hb, so the coordinator can tell an idle-but-healthy peer from a dead one
-// on transports where peer death is otherwise silent (TCP half-open).
-const heartbeatLine = `{"hb":true}`
-
-// ErrBye reports that the coordinator ended the session with a BYE line.
-// ConnectWorker uses it to distinguish an orderly end (exit) from a dropped
-// connection (reconnect); the pipes path treats it like EOF.
-var ErrBye = errors.New("runner: coordinator ended the session")
-
-// ServeOptions tunes the worker half of the pool protocol.
-type ServeOptions struct {
-	// Heartbeat, when positive, emits a heartbeat line at this interval
-	// while no cell is being evaluated. Remote (TCP) workers enable it;
-	// subprocess workers don't need it — a dead subprocess is visible to
-	// the coordinator as pipe EOF immediately.
-	Heartbeat time.Duration
-	// Fault optionally injects one failure mode into the session — the
-	// fault matrix behind `figures -faultinject` and the runner's
-	// robustness tests.
-	Fault *Fault
+// cellMsg is one worker-protocol response: the cell index it answers, and
+// either the cell's values (plus its wall-clock nanoseconds, for timing-
+// balanced shard planning) or the error it failed with.
+type cellMsg struct {
+	Idx    int       `json:"i"`
+	Values []float64 `json:"v,omitempty"`
+	Nanos  int64     `json:"ns,omitempty"`
+	Err    string    `json:"err,omitempty"`
 }
 
-// lineWriter serialises protocol writes from the serve loop and the
-// heartbeat goroutine onto one buffered writer.
-type lineWriter struct {
-	mu sync.Mutex
-	bw *bufio.Writer
-}
-
-func (w *lineWriter) writeLine(line string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.bw.WriteString(line); err != nil {
-		return err
-	}
-	if err := w.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-// ServePool runs the multi-spec worker half of the pool protocol: lines on
-// r are either "SPEC <name>" — switch to serving the named spec, built via
-// build — a decimal cell index for the current spec, or BYE (end of
-// session). One JSON result line per cell goes to w, carrying the cell's
-// wall-clock nanoseconds so the coordinator can balance future shard
-// assignments by measured cost. initial, if non-nil, is the spec served
-// before any SPEC line (the single-spec compatibility mode).
-func ServePool(initial *Spec, build func(name string) (*Spec, error), r io.Reader, w io.Writer) error {
-	err := ServePoolOpts(initial, build, r, w, ServeOptions{})
-	if errors.Is(err, ErrBye) {
-		return nil
-	}
-	return err
-}
-
-// ServePoolOpts is ServePool with heartbeats and fault injection. It
-// returns nil on EOF, ErrBye when the coordinator sent BYE, and any other
-// error on a broken session.
-func ServePoolOpts(initial *Spec, build func(name string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) error {
-	cur := initial
-	if cur != nil {
-		if err := cur.Validate(); err != nil {
-			return err
-		}
-	}
-	lw := &lineWriter{bw: bufio.NewWriter(w)}
-
-	var busy atomic.Bool
-	if opts.Heartbeat > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			tick := time.NewTicker(opts.Heartbeat)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					if busy.Load() {
-						continue
-					}
-					if lw.writeLine(heartbeatLine) != nil {
-						return // transport gone; the serve loop will notice
-					}
-				}
-			}
-		}()
-	}
-
+// ServePool runs the worker half of the pool protocol until r reaches EOF.
+// Lines on r are either "SPEC <name>" — switch to serving the named spec,
+// built via build — or a decimal cell index of the current spec; the
+// coordinator always announces a spec before its first cell. Each cell's
+// response is one JSON line written to w in a single Write call, carrying
+// the cell's wall-clock nanoseconds so the coordinator can balance future
+// shard assignments by measured cost. A cell that fails is reported inside
+// its response and the worker stays up; a malformed assignment ends the
+// session with an error.
+func ServePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer) error {
+	var cur *Spec
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
-		}
-		if line == protoBye {
-			return ErrBye
 		}
 		if name, ok := strings.CutPrefix(line, "SPEC "); ok {
 			name = strings.TrimSpace(name)
@@ -136,33 +55,41 @@ func ServePoolOpts(initial *Spec, build func(name string) (*Spec, error), r io.R
 		if cur == nil {
 			return fmt.Errorf("runner: cell assignment %q before any SPEC line", line)
 		}
-		busy.Store(true)
-		err := serveAssignment(cur, line, lw, opts.Fault)
-		busy.Store(false)
+		msg, err := serveCell(cur, line)
 		if err != nil {
+			return err
+		}
+		out, err := json.Marshal(msg)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(append(out, '\n')); err != nil {
 			return err
 		}
 	}
 	return sc.Err()
 }
 
-// serveAssignment evaluates one cell assignment and writes the response,
-// threading the fault hooks through the read-evaluate-respond cycle.
-func serveAssignment(s *Spec, line string, lw *lineWriter, fault *Fault) error {
-	if err := fault.onAssignment(); err != nil {
-		return err
-	}
-	msg, err := serveCell(s, line)
+// serveCell evaluates one assignment line against the spec and builds the
+// reply. Cell failures travel inside the message — the worker stays up; only
+// malformed assignments are protocol errors that bring the worker down.
+func serveCell(s *Spec, line string) (cellMsg, error) {
+	idx, err := strconv.Atoi(line)
 	if err != nil {
-		return err
+		return cellMsg{}, fmt.Errorf("runner: bad cell assignment %q: %w", line, err)
 	}
-	out, err := json.Marshal(msg)
+	if idx < 0 || idx >= s.Cells() {
+		return cellMsg{}, fmt.Errorf("runner: cell assignment %d outside grid of %d cells", idx, s.Cells())
+	}
+	msg := cellMsg{Idx: idx}
+	xi, vi, run := s.Coords(idx)
+	start := time.Now() //repcheck:allow-wallclock per-cell timing is diagnostic metadata, not a result value
+	v, err := s.Cell(xi, vi, run)
 	if err != nil {
-		return err
+		msg.Err = err.Error()
+		return msg, nil
 	}
-	if err := lw.writeLine(fault.mangleResponse(string(out))); err != nil {
-		return err
-	}
-	fault.afterResponse()
-	return nil
+	msg.Values = v
+	msg.Nanos = time.Since(start).Nanoseconds() //repcheck:allow-wallclock per-cell timing is diagnostic metadata, not a result value
+	return msg, nil
 }

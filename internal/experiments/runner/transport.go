@@ -8,11 +8,11 @@ import (
 )
 
 // Conn is one live worker connection speaking the line-oriented SPEC/cell
-// protocol: the coordinator writes assignment lines ("SPEC <name>", a
-// decimal cell index, or "BYE"), the worker answers with one JSON cellMsg
-// line per cell plus optional heartbeat lines. A Conn is driven by exactly
-// one pool goroutine at a time (one writer, one reader goroutine it owns),
-// so implementations need not serialise concurrent calls.
+// protocol: the coordinator writes assignment lines ("SPEC <name>" or a
+// decimal cell index), the worker answers with one JSON cellMsg line per
+// cell. A Conn is driven by exactly one pool goroutine at a time (one
+// writer, one reader goroutine it owns), so implementations need not
+// serialise concurrent calls.
 type Conn interface {
 	// WriteLine sends one protocol line (newline appended).
 	WriteLine(line string) error
@@ -20,46 +20,30 @@ type Conn interface {
 	// another goroutine must unblock it with an error.
 	ReadLine() (string, error)
 	// Abort tears the connection down on the error path: the peer is
-	// presumed broken (killed and reaped for subprocesses, socket closed for
-	// TCP). Idempotent with Shutdown — exactly one of the two runs.
+	// presumed broken (for subprocesses: killed and reaped). Idempotent with
+	// Shutdown — exactly one of the two runs.
 	Abort()
 	// Shutdown closes the connection on the orderly path: the worker is told
-	// the session is over (stdin EOF for subprocesses, a BYE line for TCP)
-	// and the close is graceful.
+	// the session is over (stdin EOF for subprocesses) and the close is
+	// graceful.
 	Shutdown() error
-	// Name labels the peer for diagnostics ("pid 4242", "10.0.0.7:52114").
+	// Name labels the peer for diagnostics ("worker pid 4242").
 	Name() string
 }
 
-// Transport supplies the pool's worker connections. Two shapes exist:
-//
-//   - Pool-driven (PipeTransport): the pool owns a fixed number of
-//     connection slots and establishes each connection itself via Connect —
-//     spawning a worker subprocess wired to pipes. Slots reports the slot
-//     count and Joined returns nil.
-//   - Worker-driven (ListenTransport): workers establish the connections by
-//     dialing the coordinator; membership is elastic — workers may join
-//     mid-run and leave without failing the run. Slots reports 0 and
-//     Connect is never called; connections arrive on Joined.
+// Transport supplies the pool's worker connections: the pool owns Slots
+// connection slots and establishes each connection itself via Connect —
+// for PipeTransport, by spawning a worker subprocess wired to pipes.
 type Transport interface {
-	// Slots is the number of pool-driven connection slots; 0 means the
-	// transport is worker-driven.
+	// Slots is the number of connection slots, at least 1.
 	Slots() int
-	// Connect establishes one pool-driven connection. Only called when
-	// Slots() > 0.
+	// Connect establishes one connection.
 	Connect() (Conn, error)
-	// Joined delivers worker-initiated connections until the transport is
-	// closed; nil for pool-driven transports.
-	Joined() <-chan Conn
-	// Close releases transport resources (listeners, unclaimed
-	// connections). Connections already handed to the pool are closed by
-	// the pool, not the transport.
-	Close() error
 }
 
 // PipeTransport is the subprocess transport: each connection is a worker
 // process (Command) speaking the protocol on its stdin/stdout. This is the
-// transport behind NewPool and the figures -procs flag.
+// transport behind the figures -procs flag.
 type PipeTransport struct {
 	// N is the number of worker slots; values < 1 mean 1.
 	N int
@@ -98,12 +82,6 @@ func (t *PipeTransport) Connect() (Conn, error) {
 	}
 	return &pipeConn{cmd: cmd, stdin: stdin, rd: bufio.NewReader(stdout)}, nil
 }
-
-// Joined implements Transport (pool-driven: nil).
-func (t *PipeTransport) Joined() <-chan Conn { return nil }
-
-// Close implements Transport.
-func (t *PipeTransport) Close() error { return nil }
 
 // pipeConn is one live worker subprocess.
 type pipeConn struct {

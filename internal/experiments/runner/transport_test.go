@@ -78,7 +78,7 @@ func scriptedConn(s *Spec, mangle func(n int, line string) (string, bool)) *fake
 			case <-c.closed:
 				return
 			}
-			if strings.HasPrefix(line, "SPEC ") || line == protoBye {
+			if strings.HasPrefix(line, "SPEC ") {
 				continue
 			}
 			msg, err := serveCell(s, line)
@@ -137,9 +137,6 @@ func (t *fakeTransport) Connect() (Conn, error) {
 	return scriptedConn(t.spec, nil), nil
 }
 
-func (t *fakeTransport) Joined() <-chan Conn { return nil }
-func (t *fakeTransport) Close() error        { return nil }
-
 // fastCfg keeps robustness tests quick: no real backoff sleeps, a firm
 // fixed deadline instead of the 10-minute bootstrap.
 func fastCfg() Config {
@@ -158,7 +155,7 @@ func runFaulty(t *testing.T, s *Spec, mangle func(n int, line string) (string, b
 		queue: []func() *fakeConn{func() *fakeConn { return scriptedConn(s, mangle) }}}
 	pool := NewPoolTransport(tr, fastCfg())
 	defer pool.Close()
-	g, err := pool.Run(s)
+	g, err := runOne(pool, s)
 	if err != nil {
 		t.Fatalf("pooled run with faulty worker: %v", err)
 	}
@@ -177,6 +174,41 @@ func runFaulty(t *testing.T, s *Spec, mangle func(n int, line string) (string, b
 	defer tr.mu.Unlock()
 	if tr.dialed < 2 {
 		t.Fatalf("expected the faulty worker to be replaced, dialed %d conns", tr.dialed)
+	}
+}
+
+// TestPoolRunCellsEmptySubset: an empty cell subset — ShardCells for a
+// shard past the grid's last cell, or a timing plan's empty shard — must
+// evaluate nothing on the pool, exactly as CellSet does, rather than being
+// mistaken for the whole grid.
+func TestPoolRunCellsEmptySubset(t *testing.T) {
+	s := namedSpec(t, "grid-3x2x2") // 12 cells
+	idxs, err := ShardCells(s.Cells(), 13, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &fakeTransport{n: 1, spec: s}
+	pool := NewPoolTransport(tr, fastCfg())
+	defer pool.Close()
+	for _, subset := range [][]int{idxs, {}, nil} {
+		pooled, err := pool.RunCells(s, subset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := CellSet{Idxs: subset}.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := len(pooled.Partial(1, false, 0, 0).Results)
+		want := len(local.Partial(1, false, 0, 0).Results)
+		if got != 0 || want != 0 {
+			t.Fatalf("empty subset %v: pool evaluated %d cells, CellSet %d; want 0", subset, got, want)
+		}
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.dialed != 0 {
+		t.Fatalf("empty subsets connected %d workers", tr.dialed)
 	}
 }
 
@@ -261,7 +293,7 @@ func TestPoolDeadlineConvertsWedgedConn(t *testing.T) {
 	pool := NewPoolTransport(tr, cfg)
 	defer pool.Close()
 	start := time.Now()
-	g, err := pool.Run(s)
+	g, err := runOne(pool, s)
 	if err != nil {
 		t.Fatalf("run with wedged worker: %v", err)
 	}
@@ -306,7 +338,7 @@ func TestPoolRespawnBackoffSchedule(t *testing.T) {
 	tr := &fakeTransport{n: 1, spec: s, queue: []func() *fakeConn{dead, dead, dead, dead}}
 	pool := NewPoolTransport(tr, cfg)
 	defer pool.Close()
-	_, err := pool.Run(s)
+	_, err := runOne(pool, s)
 	if err == nil || !strings.Contains(err.Error(), "after 4 attempts") {
 		t.Fatalf("got %v, want a 4-attempt cell failure", err)
 	}
@@ -343,7 +375,7 @@ func TestPoolBackoffResetsAfterHealthyCell(t *testing.T) {
 		queue: []func() *fakeConn{oneCell, oneCell, oneCell, oneCell}}
 	pool := NewPoolTransport(tr, cfg)
 	defer pool.Close()
-	if _, err := pool.Run(s); err != nil {
+	if _, err := runOne(pool, s); err != nil {
 		t.Fatalf("run with one-cell workers: %v", err)
 	}
 	mu.Lock()
@@ -392,7 +424,7 @@ func TestPoolSpawnFailureBacksOff(t *testing.T) {
 	tr := &errConnTransport{fakeTransport: fakeTransport{n: 1, spec: s}, fails: 2}
 	pool := NewPoolTransport(tr, cfg)
 	defer pool.Close()
-	if _, err := pool.Run(s); err != nil {
+	if _, err := runOne(pool, s); err != nil {
 		t.Fatalf("run after spawn failures: %v", err)
 	}
 	mu.Lock()

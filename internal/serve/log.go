@@ -34,8 +34,7 @@ type segInfo struct {
 // checkpoint-anchored truncation (TruncateBefore) can bound the state
 // directory of a long-running server by deleting sealed segments that a
 // restorable checkpoint has made redundant. segEntries <= 0 disables
-// rotation: the log stays a single wal-000001.log forever, and a legacy
-// single-file wal.log is adopted in place (renamed to segment 1) on open.
+// rotation: the log stays a single wal-000001.log forever.
 type Log struct {
 	dir         string
 	fingerprint string
@@ -80,49 +79,29 @@ func listSegments(dir string) ([]int, error) {
 	return seqs, nil
 }
 
-// LogExists reports whether dir holds a write-ahead log (segmented or
-// legacy single-file).
+// LogExists reports whether dir holds a write-ahead log. A directory
+// holding only the pre-segmentation single-file log (wal.log) is refused
+// rather than silently started afresh: this version no longer reads it.
 func LogExists(dir string) (bool, error) {
 	seqs, err := listSegments(dir)
-	if err != nil {
-		return false, err
+	if err != nil || len(seqs) > 0 {
+		return len(seqs) > 0, err
 	}
-	if len(seqs) > 0 {
-		return true, nil
+	if _, err := os.Stat(filepath.Join(dir, "wal.log")); err == nil {
+		return false, fmt.Errorf("serve: %s holds a pre-segmentation wal.log, which this version does not read", dir)
 	}
-	if _, err := os.Stat(filepath.Join(dir, WALName)); err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
+	return false, nil
 }
 
 // OpenLog reads an existing log back for recovery. It returns the log
 // positioned for appends, the global index of the first retained entry
 // (non-zero once truncation has deleted sealed segments — the caller must
 // then restore from a checkpoint instead of replaying from scratch), and
-// the retained entries in order. A legacy single-file wal.log is migrated
-// by renaming it to segment 1; its header (which predates the Seq/Base
-// fields) parses as seq 0 / base 0, which the chain validation accepts
-// for the first segment.
+// the retained entries in order.
 func OpenLog(dir, fingerprint string, segEntries int) (*Log, int, []Entry, error) {
 	seqs, err := listSegments(dir)
 	if err != nil {
 		return nil, 0, nil, err
-	}
-	legacy := filepath.Join(dir, WALName)
-	if _, statErr := os.Stat(legacy); statErr == nil {
-		if len(seqs) > 0 {
-			return nil, 0, nil, fmt.Errorf("serve: %s holds both a legacy %s and WAL segments — state directory corrupt", dir, WALName)
-		}
-		if err := os.Rename(legacy, segmentPath(dir, 1)); err != nil {
-			return nil, 0, nil, err
-		}
-		seqs = []int{1}
-	} else if !os.IsNotExist(statErr) {
-		return nil, 0, nil, statErr
 	}
 	if len(seqs) == 0 {
 		return nil, 0, nil, fmt.Errorf("serve: %s holds no WAL", dir)
@@ -141,7 +120,7 @@ func OpenLog(dir, fingerprint string, segEntries int) (*Log, int, []Entry, error
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		if hdr.Seq != 0 && hdr.Seq != seq {
+		if hdr.Seq != seq {
 			w.Close()
 			return nil, 0, nil, fmt.Errorf("serve: %s: header seq %d does not match file name", path, hdr.Seq)
 		}

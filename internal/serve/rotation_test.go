@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -121,42 +120,6 @@ func TestRotationParityAgainstSingleFile(t *testing.T) {
 	if !reflect.DeepEqual(ledgers[0], ledgers[1]) {
 		t.Fatalf("segmented ledger diverges from single-file ledger:\n  single   %+v\n  rotated  %+v", ledgers[0], ledgers[1])
 	}
-}
-
-// TestLegacyWALMigration: a state directory laid out by the
-// pre-segmentation code (a single wal.log) is adopted transparently — the
-// file is renamed to segment 1 and recovery replays it in full.
-func TestLegacyWALMigration(t *testing.T) {
-	dir := t.TempDir()
-	cfg := recoveryConfig(t, dir, Fault{})
-	s1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Start()
-	feedPhase(t, s1, 4, 0)
-	waitCursor(t, s1, s1.wal.Count())
-	s1.Drain()
-	before := s1.LedgerSnapshot()
-
-	// Re-create the legacy layout: the whole log as wal.log.
-	if err := os.Rename(filepath.Join(dir, "wal-000001.log"), filepath.Join(dir, WALName)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("legacy wal.log not adopted: %v", err)
-	}
-	if got := s2.LedgerSnapshot(); !reflect.DeepEqual(before, got) {
-		t.Fatalf("migrated ledger diverges:\n  before %+v\n  after  %+v", before, got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, WALName)); !os.IsNotExist(err) {
-		t.Fatal("legacy wal.log still present after migration")
-	}
-	if countSegments(t, dir) == 0 {
-		t.Fatal("migration left no segment files")
-	}
-	s2.queue.Close()
 }
 
 // nonSnapshotAlg hides ONTH's StateSnapshotter implementation, standing in

@@ -32,13 +32,12 @@ func ArrivalEntry(r Request) Entry {
 // Request converts an arrival entry back.
 func (e Entry) Request() Request { return Request{Node: e.Node, Count: e.Count, Class: e.Class} }
 
-// walHeader is the first line of every WAL file: a format version plus the
-// serving configuration's fingerprint, so a restart with a different
+// walHeader is the first line of every WAL segment: a format version plus
+// the serving configuration's fingerprint, so a restart with a different
 // topology, algorithm, or window size refuses to replay a stale log
-// instead of silently producing a divergent ledger. Segmented logs add
-// Seq (the segment's position in the chain) and Base (the global index of
-// the segment's first entry); both are omitted from single-file logs, so
-// a pre-segmentation wal.log parses as {Seq: 0, Base: 0}.
+// instead of silently producing a divergent ledger; Seq (the segment's
+// position in the chain, from 1) and Base (the global index of the
+// segment's first entry, omitted when 0).
 type walHeader struct {
 	WAL         int    `json:"wal"`
 	Fingerprint string `json:"fingerprint"`
@@ -48,22 +47,18 @@ type walHeader struct {
 
 const walVersion = 1
 
-// WAL is one append-only arrival log file — a whole log in single-file
-// mode, or one segment of a rotated Log. Writes are buffered and flushed
-// per append; a crash can lose at most the torn final line, which Open
-// discards (and truncates) — every complete line is replayable.
+// WAL is one append-only arrival log file: one segment of a Log. Writes
+// are buffered and flushed per append; a crash can lose at most the torn
+// final line, which openSegment discards (and truncates) — every complete
+// line is replayable.
 type WAL struct {
 	f     *os.File
 	w     *bufio.Writer
 	count int
 }
 
-// CreateWAL starts a fresh log at path, truncating any previous one.
-func CreateWAL(path, fingerprint string) (*WAL, error) {
-	return createSegment(path, walHeader{WAL: walVersion, Fingerprint: fingerprint})
-}
-
-// createSegment starts a fresh log file with an explicit header.
+// createSegment starts a fresh segment file at path, truncating any
+// previous one, with the given header.
 func createSegment(path string, h walHeader) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -86,17 +81,12 @@ func createSegment(path string, h walHeader) (*WAL, error) {
 	return w, nil
 }
 
-// OpenWAL reads an existing single-file log back for recovery: it
-// validates the header fingerprint, returns every complete entry in append
-// order, truncates a torn final line (the one write a crash may have
-// interrupted), and leaves the file positioned for further appends.
-func OpenWAL(path, fingerprint string) (*WAL, []Entry, error) {
-	w, _, entries, err := openSegment(path, fingerprint)
-	return w, entries, err
-}
-
-// openSegment is OpenWAL returning the parsed header too, for the
-// segmented Log to validate sequence numbers and bases.
+// openSegment reads an existing segment back for recovery: it validates
+// the header (version, fingerprint, and a sequence number), returns the
+// header and every complete entry in append order, truncates a torn final
+// line (the one write a crash may have interrupted), and leaves the file
+// positioned for further appends. The Log validates the header's sequence
+// number and base against the chain.
 func openSegment(path, fingerprint string) (*WAL, walHeader, []Entry, error) {
 	var hdr walHeader
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -127,6 +117,10 @@ func openSegment(path, fingerprint string) (*WAL, walHeader, []Entry, error) {
 		f.Close()
 		return nil, hdr, nil, fmt.Errorf("serve: %s was written under config %q, this server is %q — refusing to replay",
 			path, hdr.Fingerprint, fingerprint)
+	}
+	if hdr.Seq < 1 {
+		f.Close()
+		return nil, hdr, nil, fmt.Errorf("serve: %s: WAL header carries no segment seq — not a segment of this log format", path)
 	}
 	entries := make([]Entry, 0, len(lines)-1)
 	for i, line := range lines[1:] {

@@ -8,9 +8,20 @@ import (
 	"testing"
 )
 
+// testHeader is the header of a first segment under fingerprint fp.
+func testHeader(fp string) walHeader {
+	return walHeader{WAL: walVersion, Fingerprint: fp, Seq: 1}
+}
+
+// openEntries reopens a segment and returns it with its entries.
+func openEntries(path, fp string) (*WAL, []Entry, error) {
+	w, _, entries, err := openSegment(path, fp)
+	return w, entries, err
+}
+
 func TestWALRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := CreateWAL(path, "fp-1")
+	path := filepath.Join(t.TempDir(), "wal-000001.log")
+	w, err := createSegment(path, testHeader("fp-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +42,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, entries, err := OpenWAL(path, "fp-1")
+	w2, entries, err := openEntries(path, "fp-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +57,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, entries, err = OpenWAL(path, "fp-1")
+	_, entries, err = openEntries(path, "fp-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +67,8 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 func TestWALTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := CreateWAL(path, "fp")
+	path := filepath.Join(t.TempDir(), "wal-000001.log")
+	w, err := createSegment(path, testHeader("fp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestWALTruncatesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	w2, entries, err := OpenWAL(path, "fp")
+	w2, entries, err := openEntries(path, "fp")
 	if err != nil {
 		t.Fatalf("torn tail not tolerated: %v", err)
 	}
@@ -91,7 +102,7 @@ func TestWALTruncatesTornTail(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, entries, err = OpenWAL(path, "fp")
+	_, entries, err = openEntries(path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +112,13 @@ func TestWALTruncatesTornTail(t *testing.T) {
 }
 
 func TestWALRefusesForeignFingerprint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := CreateWAL(path, "config-a")
+	path := filepath.Join(t.TempDir(), "wal-000001.log")
+	w, err := createSegment(path, testHeader("config-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	if _, _, err := OpenWAL(path, "config-b"); err == nil ||
+	if _, _, err := openEntries(path, "config-b"); err == nil ||
 		!strings.Contains(err.Error(), "refusing to replay") {
 		t.Fatalf("foreign fingerprint accepted: %v", err)
 	}
@@ -119,14 +130,39 @@ func TestWALRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenWAL(empty, "fp"); err == nil {
+	if _, _, err := openEntries(empty, "fp"); err == nil {
 		t.Fatal("empty file accepted as a WAL")
 	}
 	junk := filepath.Join(dir, "junk.log")
 	if err := os.WriteFile(junk, []byte("not json\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenWAL(junk, "fp"); err == nil {
+	if _, _, err := openEntries(junk, "fp"); err == nil {
 		t.Fatal("junk header accepted as a WAL")
+	}
+}
+
+// TestWALRefusesHeaderWithoutSeq: every segment header carries its
+// sequence number (from 1); a header without one — the pre-segmentation
+// single-file layout, or a hand-edited file — is refused loudly rather
+// than adopted as the first segment.
+func TestWALRefusesHeaderWithoutSeq(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-000001.log"),
+		[]byte(`{"wal":1,"fingerprint":"fp"}`+"\n"+`{"n":-1,"t":true}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := OpenLog(dir, "fp", 0); err == nil || !strings.Contains(err.Error(), "seq") {
+		t.Fatalf("segment header without seq accepted: %v", err)
+	}
+	// A directory holding only a pre-segmentation wal.log is refused, not
+	// silently started afresh.
+	legacy := t.TempDir()
+	if err := os.WriteFile(filepath.Join(legacy, "wal.log"),
+		[]byte(`{"wal":1,"fingerprint":"fp"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LogExists(legacy); err == nil || !strings.Contains(err.Error(), "wal.log") {
+		t.Fatalf("LogExists on a lone wal.log: %v; want a refusal", err)
 	}
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Runs the hot-path micro-benchmarks and emits a JSON perf snapshot
-# (default BENCH_10.json) so later PRs have a trajectory to compare
-# against. When a previous snapshot exists (default BENCH_9.json), a
+# (default bench-snapshot.json, which git ignores). Given a baseline
+# snapshot — for example a committed BENCH_<n>.json, kept as history — a
 # delta table old/new is printed per benchmark. Usage:
 #
 #   scripts/bench.sh [output.json [baseline.json]]
+#   scripts/bench.sh bench-snapshot.json BENCH_10.json
 #   COUNT=10 scripts/bench.sh        # more samples per benchmark
 #
 # For statistically rigorous before/after comparisons prefer benchstat
@@ -13,9 +14,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-6}"
-OUT="${1:-BENCH_10.json}"
-BASE="${2:-BENCH_9.json}"
-BENCH='BenchmarkAccessLinear$|BenchmarkAccessQuadratic$|BenchmarkScorerSweep$|BenchmarkScorerSweepReuse$|BenchmarkScorerApplyMove$|BenchmarkBestResponse$|BenchmarkOPTLine5$|BenchmarkONBRCommuter$|BenchmarkONTHCommuter$|BenchmarkAllPairs500$|BenchmarkSparseRowCold$|BenchmarkSparseRowWarm$|BenchmarkLandmarkDist$|BenchmarkSmallWorldConstruct100k$|BenchmarkONCONF$|BenchmarkWFA$|BenchmarkWFALargeSpace$|BenchmarkONCONFLargeSpace$|BenchmarkLookaheadOFFBR$|BenchmarkLookaheadReuseOFFBR$|BenchmarkFlashCrowdGen$|BenchmarkDiurnalGen$|BenchmarkFigureRunnerLocal$|BenchmarkPoolPipelined$|BenchmarkPoolPerFigure$|BenchmarkPoolTCPLoopback$|BenchmarkDeadlineTracker$|BenchmarkServeIngest$|BenchmarkCheckpoint$|BenchmarkEngineRound$'
+OUT="${1:-bench-snapshot.json}"
+BASE="${2:-}"
+BENCH='BenchmarkAccessLinear$|BenchmarkAccessQuadratic$|BenchmarkScorerSweep$|BenchmarkScorerSweepReuse$|BenchmarkScorerApplyMove$|BenchmarkBestResponse$|BenchmarkOPTLine5$|BenchmarkONBRCommuter$|BenchmarkONTHCommuter$|BenchmarkAllPairs500$|BenchmarkSparseRowCold$|BenchmarkSparseRowWarm$|BenchmarkLandmarkDist$|BenchmarkSmallWorldConstruct100k$|BenchmarkONCONF$|BenchmarkWFA$|BenchmarkWFALargeSpace$|BenchmarkONCONFLargeSpace$|BenchmarkLookaheadOFFBR$|BenchmarkLookaheadReuseOFFBR$|BenchmarkFlashCrowdGen$|BenchmarkDiurnalGen$|BenchmarkFigureRunnerLocal$|BenchmarkPoolPipelined$|BenchmarkPoolPerFigure$|BenchmarkDeadlineTracker$|BenchmarkServeIngest$|BenchmarkCheckpoint$|BenchmarkEngineRound$'
 
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
@@ -51,7 +52,7 @@ END {
 
 echo "wrote $OUT"
 
-if [[ -f "$BASE" && "$BASE" != "$OUT" ]]; then
+if [[ -n "$BASE" && -f "$BASE" && "$BASE" != "$OUT" ]]; then
     echo
     echo "delta vs $BASE (ns/op):"
     awk '

@@ -7,6 +7,9 @@
 #   3. repcheck    — the repo's own contract analyzers (rowborrow,
 #                    detrand, maprange, floatfmt); see ANALYSIS.md
 #
+# perfbench/ is a nested module that ./... does not descend into, so go
+# vet and repcheck run there a second time.
+#
 # x/tools-only vet passes (nilness, unusedwrite, shadow) need a module
 # download and are not available in the offline build; repcheck carries
 # the repo-specific contracts instead. Run as `scripts/lint.sh` or
@@ -24,8 +27,10 @@ fi
 
 echo "== go vet"
 go vet ./...
+(cd perfbench && go vet ./...)
 
 echo "== repcheck"
 go run ./cmd/repcheck ./...
+(cd perfbench && go run repro/cmd/repcheck ./...)
 
 echo "lint clean"
